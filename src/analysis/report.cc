@@ -265,11 +265,11 @@ Result<std::string> RenderCheckpointReport(const Checkpoint& ckpt) {
       key.algo.c_str(), static_cast<unsigned long long>(key.db_fingerprint));
   out += StringPrintf(
       "  options: minsup=%g max_items=%u max_length=%u max_window=%lld "
-      "prune=%s%s%s projection=%s\n",
+      "prune=%s%s%s\n",
       key.min_support, key.max_items, key.max_length,
       static_cast<long long>(key.max_window), key.pair_pruning ? "pair " : "",
       key.postfix_pruning ? "postfix " : "",
-      key.validity_pruning ? "validity" : "", key.projection.c_str());
+      key.validity_pruning ? "validity" : "");
   if (ckpt.total_units > 0) {
     out += StringPrintf(
         "progress: %zu of %llu buckets complete (%.1f%%)\n",
@@ -278,13 +278,11 @@ Result<std::string> RenderCheckpointReport(const Checkpoint& ckpt) {
         100.0 * static_cast<double>(ckpt.completed_units.size()) /
             static_cast<double>(ckpt.total_units));
   } else {
-    // Level-wise runs have no fixed unit total; each unit is one level.
-    out += StringPrintf("progress: %zu levels complete\n",
+    // The run stopped before the root scan fixed the bucket total.
+    out += StringPrintf("progress: %zu buckets complete\n",
                         ckpt.completed_units.size());
   }
-  out += StringPrintf("patterns banked: %zu (frontier %zu, memo %zu)\n",
-                      ckpt.patterns.size(), ckpt.frontier.size(),
-                      ckpt.memo.size());
+  out += StringPrintf("patterns banked: %zu\n", ckpt.patterns.size());
   if (ckpt.time_budget_seconds > 0.0) {
     out += StringPrintf("elapsed: %.2fs of %.2fs wall budget (%.1f%%)\n",
                         ckpt.elapsed_seconds, ckpt.time_budget_seconds,

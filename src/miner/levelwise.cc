@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/coincidence.h"
 #include "core/containment.h"
 #include "core/endpoint.h"
-#include "io/checkpoint.h"
 #include "miner/cooccurrence.h"
 #include "miner/miner_metrics.h"
 #include "miner/validate_hooks.h"
@@ -52,20 +50,6 @@ void RemovePositions(const std::vector<ItemT>& items,
   out_offsets->push_back(static_cast<uint32_t>(out_items->size()));
 }
 
-// The checkpoint run-key algo string encodes the config toggles that change
-// the search shape, so a resume under a different config fails fast.
-std::string LevelwiseAlgoName(const LevelwiseConfig& config) {
-  std::string algo = "levelwise";
-  if (!config.frequent_alphabet) algo += "-noalpha";
-  if (!config.apriori_check) algo += "-noapriori";
-  return algo;
-}
-
-// Levelwise checkpoint unit = one completed level (breadth-first generation);
-// completed_units holds level indices and total_units stays 0 (the level
-// count is unknown up front). Growth-engine run keys never collide with
-// these: the algo strings differ.
-
 // ---------------------------------------------------------------------------
 // Endpoint language
 // ---------------------------------------------------------------------------
@@ -99,10 +83,7 @@ class EndpointLevelwise {
                           : new obs::StatsDomain("levelwise.endpoint")),
         domain_(options.stats_domain != nullptr ? options.stats_domain
                                                 : owned_domain_.get()),
-        om_(MinerMetrics::ForRegistry(&domain_->registry())) {
-    ckpt_writer_ = options.checkpoint_writer;
-    resume_ = options.resume;
-  }
+        om_(MinerMetrics::ForRegistry(&domain_->registry())) {}
 
   Result<EndpointMiningResult> Run() {
     EndpointMiningResult result;
@@ -113,21 +94,7 @@ class EndpointLevelwise {
           "injected allocation failure building the level-wise endpoint "
           "representation (fault site miner.alloc)");
     }
-    // Run identity only matters when checkpointing is live: fingerprinting
-    // walks the whole database, so the default (off) pays nothing.
-    if (ckpt_writer_ != nullptr || resume_ != nullptr) {
-      run_key_ = MakeRunKey();
-      if (resume_ != nullptr && resume_->key != run_key_) {
-        std::string msg = "checkpoint does not match this run:";
-        for (const std::string& diff : DiffRunKeys(resume_->key, run_key_)) {
-          msg += "\n  " + diff;
-        }
-        return Status::InvalidArgument(msg);
-      }
-    }
-    run_timer_.Reset();
     obs_start_ = domain_->registry().Snapshot();
-    resume_base_ = obs_start_;
     domain_->RecordEvent("run.begin", db_.size(), minsup_);
     WallTimer build_timer;
     {
@@ -148,48 +115,18 @@ class EndpointLevelwise {
       if (!config_.frequent_alphabet || s >= minsup_) alphabet.push_back(e);
     }
 
-    // Level 1: single start endpoints — or, on resume, the checkpointed
-    // frontier with completed levels skipped entirely.
+    // Level 1: single start endpoints.
     std::vector<EndpointFrontierPat> frontier;
-    uint64_t level_index = 0;
-    if (resume_ != nullptr) {
-      TPM_RETURN_NOT_OK(SeedFromResume(&frontier));
-      level_index = completed_units_.size();
-      // Resume baseline: everything charged so far (run.begin, the
-      // representation build) is preamble the interrupted run's boundary
-      // metrics already include; the resumed delta starts at the level loop.
-      resume_base_ = domain_->registry().Snapshot();
-    } else {
-      for (EventId e : alphabet) {
-        EndpointFrontierPat p;
-        p.items = {MakeStart(e)};
-        p.offsets = {0};
-        p.open = {e};
-        frontier.push_back(std::move(p));
-      }
-      // The boundary frontier before any level completes is the initial one,
-      // so a final checkpoint written that early still resumes correctly.
-      if (ckpt_writer_ != nullptr) boundary_frontier_ = frontier;
+    for (EventId e : alphabet) {
+      EndpointFrontierPat p;
+      p.items = {MakeStart(e)};
+      p.offsets = {0};
+      p.open = {e};
+      frontier.push_back(std::move(p));
     }
-    if (ckpt_writer_ != nullptr) {
-      // Pre-level boundary: a run truncated before its first level completes
-      // still checkpoints the preamble (representation build) delta, so a
-      // resume replays only the level work on top of it.
-      ckpt_pattern_count_ = out_->patterns.size();
-      boundary_metrics_ = RunDelta();
-      boundary_elapsed_ =
-          (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-          run_timer_.ElapsedSeconds();
-    }
-
-    while (!frontier.empty() && !guard_.stopped() && ckpt_status_.ok()) {
+    while (!frontier.empty() && !guard_.stopped()) {
       frontier = ProcessLevel(std::move(frontier), alphabet);
-      // A guard stop mid-level means the level is incomplete: the checkpoint
-      // must not claim it, and the boundary stays at the previous level.
-      if (!guard_.stopped()) NoteLevelComplete(level_index, frontier);
-      ++level_index;
     }
-    if (!ckpt_status_.ok()) return ckpt_status_;
     result.stats.mine_seconds = mine_timer.ElapsedSeconds();
     result.stats.patterns_found = result.patterns.size();
     result.stats.truncated = guard_.stopped();
@@ -203,15 +140,8 @@ class EndpointLevelwise {
     }
     domain_->RecordEvent("run.end", result.patterns.size(),
                          result.stats.nodes_expanded);
-    result.stats.metrics = RunDelta();
+    result.stats.metrics = domain_->registry().Snapshot().Since(obs_start_);
     obs::MetricsRegistry::Global().MergeSnapshot(result.stats.metrics);
-    // A truncated run leaves a final checkpoint at the last completed-level
-    // boundary so the work survives.
-    if (ckpt_writer_ != nullptr && result.stats.truncated) {
-      TPM_RETURN_NOT_OK(WriteCheckpoint());
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    }
     return result;
   }
 
@@ -336,145 +266,6 @@ class EndpointLevelwise {
   }
 
   bool CheckBudget() { return guard_.ShouldStop(); }
-
-  // ---- Checkpoint/resume (io/checkpoint.h) ---------------------------
-
-  CheckpointRunKey MakeRunKey() const {
-    CheckpointRunKey key;
-    key.db_fingerprint = FingerprintDatabase(db_);
-    key.language = "endpoint";
-    key.algo = LevelwiseAlgoName(config_);
-    key.min_support = options_.min_support;
-    key.max_items = options_.max_items;
-    key.max_length = options_.max_length;
-    key.max_window = options_.max_window;
-    // The growth prunings don't exist in the level-wise search, so the
-    // pruning flags stay canonically false and never block a resume.
-    key.projection = "none";
-    return key;
-  }
-
-  Status SeedFromResume(std::vector<EndpointFrontierPat>* frontier) {
-    completed_units_ = resume_->completed_units;
-    unit_pattern_counts_ = resume_->unit_pattern_counts;
-    for (const CheckpointPatternRec& rec : resume_->patterns) {
-      out_->patterns.push_back(MinedPattern<EndpointPattern>{
-          EndpointPattern(rec.items, rec.offsets), rec.support});
-      guard_.NotePattern(out_->patterns.size());
-    }
-    for (const CheckpointPatternRec& rec : resume_->memo) {
-      frequent_.insert(EndpointPattern(rec.items, rec.offsets));
-    }
-    frontier->clear();
-    frontier->reserve(resume_->frontier.size());
-    for (const CheckpointPatternRec& rec : resume_->frontier) {
-      EndpointFrontierPat f;
-      f.items = rec.items;
-      f.offsets = rec.offsets;
-      f.offsets.pop_back();  // stored with the sentinel; the frontier drops it
-      // Rebuild the open list by replay; a finish without a matching open
-      // start cannot come from a real frontier record.
-      for (EndpointCode code : f.items) {
-        const EventId ev = EndpointEvent(code);
-        if (!IsFinish(code)) {
-          f.open.push_back(ev);
-        } else {
-          auto it = std::find(f.open.begin(), f.open.end(), ev);
-          if (it == f.open.end()) {
-            return Status::Corruption(
-                "checkpoint frontier record closes a symbol that was never "
-                "opened (malformed frontier)");
-          }
-          f.open.erase(it);
-        }
-      }
-      frontier->push_back(std::move(f));
-    }
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = resume_->metrics;
-    boundary_frontier_ = *frontier;
-    boundary_elapsed_ = resume_->elapsed_seconds;
-    // Recorded against the flight recorder directly: ckpt bookkeeping must
-    // not perturb the obs.flight.events counter the merged deltas compare.
-    domain_->recorder().Record("ckpt.resume", completed_units_.size(),
-                               out_->patterns.size());
-    return Status::OK();
-  }
-
-  obs::MetricsSnapshot RunDelta() const {
-    if (resume_ == nullptr) {
-      return domain_->registry().Snapshot().Since(obs_start_);
-    }
-    std::vector<obs::DomainSnapshot> parts;
-    parts.push_back({"prior", resume_->metrics});
-    parts.push_back(
-        {"current", domain_->registry().Snapshot().Since(resume_base_)});
-    return obs::MergeDomainSnapshots(std::move(parts));
-  }
-
-  void NoteLevelComplete(uint64_t level_index,
-                         const std::vector<EndpointFrontierPat>& frontier) {
-    if (ckpt_writer_ == nullptr) return;
-    completed_units_.push_back(level_index);
-    // v2 grouping: this level's bank is the pattern-stream slice since the
-    // previous boundary (levels are the levelwise unit of completed work).
-    unit_pattern_counts_.push_back(out_->patterns.size() -
-                                   ckpt_pattern_count_);
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = RunDelta();
-    boundary_frontier_ = frontier;
-    boundary_elapsed_ =
-        (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-        run_timer_.ElapsedSeconds();
-    if (!ckpt_writer_->Due()) return;
-    const Status st = WriteCheckpoint();
-    if (st.ok()) {
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    } else {
-      ckpt_status_ = st;
-    }
-  }
-
-  Status WriteCheckpoint() {
-    Checkpoint ckpt;
-    ckpt.key = run_key_;
-    ckpt.completed_units = completed_units_;
-    ckpt.unit_pattern_counts = unit_pattern_counts_;
-    ckpt.patterns.reserve(ckpt_pattern_count_);
-    for (uint64_t i = 0; i < ckpt_pattern_count_; ++i) {
-      const MinedPattern<EndpointPattern>& p = out_->patterns[i];
-      ckpt.patterns.push_back(CheckpointPatternRec{
-          p.support, p.pattern.items(), p.pattern.offsets()});
-    }
-    ckpt.frontier.reserve(boundary_frontier_.size());
-    for (const EndpointFrontierPat& f : boundary_frontier_) {
-      std::vector<uint32_t> full = f.offsets;
-      full.push_back(static_cast<uint32_t>(f.items.size()));
-      ckpt.frontier.push_back(
-          CheckpointPatternRec{0, f.items, std::move(full)});
-    }
-    // The memo is serialized at write time, so after a partial level it is a
-    // superset of the boundary's: safe, because re-inserting on the replayed
-    // level is idempotent and the extra entries match what full reprocessing
-    // inserts anyway. Sorted before serializing so checkpoint bytes are a
-    // pure function of the mined state, not of hash-set iteration order.
-    std::vector<const EndpointPattern*> memo;
-    memo.reserve(frequent_.size());
-    for (const EndpointPattern& p : frequent_) memo.push_back(&p);
-    std::sort(memo.begin(), memo.end(),
-              [](const EndpointPattern* a, const EndpointPattern* b) {
-                return *a < *b;
-              });
-    for (const EndpointPattern* p : memo) {
-      ckpt.memo.push_back(CheckpointPatternRec{0, p->items(), p->offsets()});
-    }
-    ckpt.metrics = boundary_metrics_;
-    ckpt.elapsed_seconds = boundary_elapsed_;
-    ckpt.time_budget_seconds = options_.time_budget_seconds;
-    return ckpt_writer_->Write(ckpt);
-  }
-
   const IntervalDatabase& db_;
   const MinerOptions& options_;
   const LevelwiseConfig& config_;
@@ -497,21 +288,7 @@ class EndpointLevelwise {
   MemoryTracker tracker_;
   ExecutionGuard guard_{MakeGuardLimits(), &tracker_};
   EndpointMiningResult* out_ = nullptr;
-
-  // --- Checkpoint/resume state (see the helper block above) ---
-  CheckpointWriter* ckpt_writer_ = nullptr;  // not owned; null = off
-  const Checkpoint* resume_ = nullptr;       // not owned; null = fresh run
-  CheckpointRunKey run_key_;
-  std::vector<uint64_t> completed_units_;
-  std::vector<uint64_t> unit_pattern_counts_;
   obs::MetricsSnapshot obs_start_;
-  obs::MetricsSnapshot resume_base_;
-  uint64_t ckpt_pattern_count_ = 0;
-  obs::MetricsSnapshot boundary_metrics_;
-  std::vector<EndpointFrontierPat> boundary_frontier_;
-  double boundary_elapsed_ = 0.0;
-  WallTimer run_timer_;
-  Status ckpt_status_;  // first failed checkpoint write, else OK
 };
 
 // ---------------------------------------------------------------------------
@@ -546,10 +323,7 @@ class CoincidenceLevelwise {
                           : new obs::StatsDomain("levelwise.coincidence")),
         domain_(options.stats_domain != nullptr ? options.stats_domain
                                                 : owned_domain_.get()),
-        om_(MinerMetrics::ForRegistry(&domain_->registry())) {
-    ckpt_writer_ = options.checkpoint_writer;
-    resume_ = options.resume;
-  }
+        om_(MinerMetrics::ForRegistry(&domain_->registry())) {}
 
   Result<CoincidenceMiningResult> Run() {
     CoincidenceMiningResult result;
@@ -560,19 +334,7 @@ class CoincidenceLevelwise {
           "injected allocation failure building the level-wise coincidence "
           "representation (fault site miner.alloc)");
     }
-    if (ckpt_writer_ != nullptr || resume_ != nullptr) {
-      run_key_ = MakeRunKey();
-      if (resume_ != nullptr && resume_->key != run_key_) {
-        std::string msg = "checkpoint does not match this run:";
-        for (const std::string& diff : DiffRunKeys(resume_->key, run_key_)) {
-          msg += "\n  " + diff;
-        }
-        return Status::InvalidArgument(msg);
-      }
-    }
-    run_timer_.Reset();
     obs_start_ = domain_->registry().Snapshot();
-    resume_base_ = obs_start_;
     domain_->RecordEvent("run.begin", db_.size(), minsup_);
     WallTimer build_timer;
     {
@@ -592,31 +354,12 @@ class CoincidenceLevelwise {
     }
 
     std::vector<CoinFrontierPat> frontier;
-    uint64_t level_index = 0;
-    if (resume_ != nullptr) {
-      SeedFromResume(&frontier);
-      level_index = completed_units_.size();
-      resume_base_ = domain_->registry().Snapshot();
-    } else {
-      for (EventId e : alphabet) {
-        frontier.push_back(CoinFrontierPat{{e}, {0}});
-      }
-      if (ckpt_writer_ != nullptr) boundary_frontier_ = frontier;
+    for (EventId e : alphabet) {
+      frontier.push_back(CoinFrontierPat{{e}, {0}});
     }
-    if (ckpt_writer_ != nullptr) {
-      // Pre-level boundary, mirroring the endpoint level-wise miner.
-      ckpt_pattern_count_ = out_->patterns.size();
-      boundary_metrics_ = RunDelta();
-      boundary_elapsed_ =
-          (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-          run_timer_.ElapsedSeconds();
-    }
-    while (!frontier.empty() && !guard_.stopped() && ckpt_status_.ok()) {
+    while (!frontier.empty() && !guard_.stopped()) {
       frontier = ProcessLevel(std::move(frontier), alphabet);
-      if (!guard_.stopped()) NoteLevelComplete(level_index, frontier);
-      ++level_index;
     }
-    if (!ckpt_status_.ok()) return ckpt_status_;
     result.stats.mine_seconds = mine_timer.ElapsedSeconds();
     result.stats.patterns_found = result.patterns.size();
     result.stats.truncated = guard_.stopped();
@@ -630,13 +373,8 @@ class CoincidenceLevelwise {
     }
     domain_->RecordEvent("run.end", result.patterns.size(),
                          result.stats.nodes_expanded);
-    result.stats.metrics = RunDelta();
+    result.stats.metrics = domain_->registry().Snapshot().Since(obs_start_);
     obs::MetricsRegistry::Global().MergeSnapshot(result.stats.metrics);
-    if (ckpt_writer_ != nullptr && result.stats.truncated) {
-      TPM_RETURN_NOT_OK(WriteCheckpoint());
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    }
     return result;
   }
 
@@ -717,122 +455,6 @@ class CoincidenceLevelwise {
   }
 
   bool CheckBudget() { return guard_.ShouldStop(); }
-
-  // ---- Checkpoint/resume — mirrors EndpointLevelwise, minus the open-list
-  // replay (coincidence frontier records carry no open symbols) -----------
-
-  CheckpointRunKey MakeRunKey() const {
-    CheckpointRunKey key;
-    key.db_fingerprint = FingerprintDatabase(db_);
-    key.language = "coincidence";
-    key.algo = LevelwiseAlgoName(config_);
-    key.min_support = options_.min_support;
-    key.max_items = options_.max_items;
-    key.max_length = options_.max_length;
-    key.max_window = options_.max_window;
-    key.projection = "none";
-    return key;
-  }
-
-  void SeedFromResume(std::vector<CoinFrontierPat>* frontier) {
-    completed_units_ = resume_->completed_units;
-    unit_pattern_counts_ = resume_->unit_pattern_counts;
-    for (const CheckpointPatternRec& rec : resume_->patterns) {
-      out_->patterns.push_back(MinedPattern<CoincidencePattern>{
-          CoincidencePattern(rec.items, rec.offsets), rec.support});
-      guard_.NotePattern(out_->patterns.size());
-    }
-    for (const CheckpointPatternRec& rec : resume_->memo) {
-      frequent_.insert(CoincidencePattern(rec.items, rec.offsets));
-    }
-    frontier->clear();
-    frontier->reserve(resume_->frontier.size());
-    for (const CheckpointPatternRec& rec : resume_->frontier) {
-      CoinFrontierPat f;
-      f.items = rec.items;
-      f.offsets = rec.offsets;
-      f.offsets.pop_back();  // stored with the sentinel; the frontier drops it
-      frontier->push_back(std::move(f));
-    }
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = resume_->metrics;
-    boundary_frontier_ = *frontier;
-    boundary_elapsed_ = resume_->elapsed_seconds;
-    domain_->recorder().Record("ckpt.resume", completed_units_.size(),
-                               out_->patterns.size());
-  }
-
-  obs::MetricsSnapshot RunDelta() const {
-    if (resume_ == nullptr) {
-      return domain_->registry().Snapshot().Since(obs_start_);
-    }
-    std::vector<obs::DomainSnapshot> parts;
-    parts.push_back({"prior", resume_->metrics});
-    parts.push_back(
-        {"current", domain_->registry().Snapshot().Since(resume_base_)});
-    return obs::MergeDomainSnapshots(std::move(parts));
-  }
-
-  void NoteLevelComplete(uint64_t level_index,
-                         const std::vector<CoinFrontierPat>& frontier) {
-    if (ckpt_writer_ == nullptr) return;
-    completed_units_.push_back(level_index);
-    // v2 grouping: this level's bank is the pattern-stream slice since the
-    // previous boundary (levels are the levelwise unit of completed work).
-    unit_pattern_counts_.push_back(out_->patterns.size() -
-                                   ckpt_pattern_count_);
-    ckpt_pattern_count_ = out_->patterns.size();
-    boundary_metrics_ = RunDelta();
-    boundary_frontier_ = frontier;
-    boundary_elapsed_ =
-        (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
-        run_timer_.ElapsedSeconds();
-    if (!ckpt_writer_->Due()) return;
-    const Status st = WriteCheckpoint();
-    if (st.ok()) {
-      domain_->recorder().Record("ckpt.write", completed_units_.size(),
-                                 ckpt_pattern_count_);
-    } else {
-      ckpt_status_ = st;
-    }
-  }
-
-  Status WriteCheckpoint() {
-    Checkpoint ckpt;
-    ckpt.key = run_key_;
-    ckpt.completed_units = completed_units_;
-    ckpt.unit_pattern_counts = unit_pattern_counts_;
-    ckpt.patterns.reserve(ckpt_pattern_count_);
-    for (uint64_t i = 0; i < ckpt_pattern_count_; ++i) {
-      const MinedPattern<CoincidencePattern>& p = out_->patterns[i];
-      ckpt.patterns.push_back(CheckpointPatternRec{
-          p.support, p.pattern.items(), p.pattern.offsets()});
-    }
-    ckpt.frontier.reserve(boundary_frontier_.size());
-    for (const CoinFrontierPat& f : boundary_frontier_) {
-      std::vector<uint32_t> full = f.offsets;
-      full.push_back(static_cast<uint32_t>(f.items.size()));
-      ckpt.frontier.push_back(
-          CheckpointPatternRec{0, f.items, std::move(full)});
-    }
-    // Sorted for the same reason as the endpoint miner's memo: checkpoint
-    // bytes must be a pure function of the mined state, not hash-set order.
-    std::vector<const CoincidencePattern*> memo;
-    memo.reserve(frequent_.size());
-    for (const CoincidencePattern& p : frequent_) memo.push_back(&p);
-    std::sort(memo.begin(), memo.end(),
-              [](const CoincidencePattern* a, const CoincidencePattern* b) {
-                return *a < *b;
-              });
-    for (const CoincidencePattern* p : memo) {
-      ckpt.memo.push_back(CheckpointPatternRec{0, p->items(), p->offsets()});
-    }
-    ckpt.metrics = boundary_metrics_;
-    ckpt.elapsed_seconds = boundary_elapsed_;
-    ckpt.time_budget_seconds = options_.time_budget_seconds;
-    return ckpt_writer_->Write(ckpt);
-  }
-
   const IntervalDatabase& db_;
   const MinerOptions& options_;
   const LevelwiseConfig& config_;
@@ -855,22 +477,19 @@ class CoincidenceLevelwise {
   MemoryTracker tracker_;
   ExecutionGuard guard_{MakeGuardLimits(), &tracker_};
   CoincidenceMiningResult* out_ = nullptr;
-
-  // --- Checkpoint/resume state (see the helper block above) ---
-  CheckpointWriter* ckpt_writer_ = nullptr;  // not owned; null = off
-  const Checkpoint* resume_ = nullptr;       // not owned; null = fresh run
-  CheckpointRunKey run_key_;
-  std::vector<uint64_t> completed_units_;
-  std::vector<uint64_t> unit_pattern_counts_;
   obs::MetricsSnapshot obs_start_;
-  obs::MetricsSnapshot resume_base_;
-  uint64_t ckpt_pattern_count_ = 0;
-  obs::MetricsSnapshot boundary_metrics_;
-  std::vector<CoinFrontierPat> boundary_frontier_;
-  double boundary_elapsed_ = 0.0;
-  WallTimer run_timer_;
-  Status ckpt_status_;  // first failed checkpoint write, else OK
 };
+
+// Checkpoint/resume is a growth-engine feature: a level-wise run offered a
+// writer or a checkpoint fails loudly instead of silently ignoring it.
+Status RejectCheckpointing(const MinerOptions& options) {
+  if (options.checkpoint_writer != nullptr || options.resume != nullptr) {
+    return Status::InvalidArgument(
+        "checkpoint/resume is supported only by the prefix-growth miners "
+        "(P-TPMiner, TPrefixSpan, CTMiner), not the level-wise miners");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -884,6 +503,7 @@ Result<EndpointMiningResult> MineLevelwiseEndpoint(const IntervalDatabase& db,
   if (!(options.min_support > 0.0)) {
     return Status::InvalidArgument("min_support must be positive");
   }
+  TPM_RETURN_NOT_OK(RejectCheckpointing(options));
   EndpointLevelwise miner(db, options, config);
   Result<EndpointMiningResult> result = miner.Run();
   if (result.ok()) internal::DCheckMinerExit(*result);
@@ -900,6 +520,7 @@ Result<CoincidenceMiningResult> MineLevelwiseCoincidence(
   if (!(options.min_support > 0.0)) {
     return Status::InvalidArgument("min_support must be positive");
   }
+  TPM_RETURN_NOT_OK(RejectCheckpointing(options));
   CoincidenceLevelwise miner(db, options, config);
   Result<CoincidenceMiningResult> result = miner.Run();
   if (result.ok()) internal::DCheckMinerExit(*result);

@@ -7,6 +7,9 @@
 // The level-wise miner adds the two candidate reductions the published
 // IEMiner line uses (frequent-endpoint alphabet, Apriori subpattern check);
 // the brute-force miners use neither and exist purely as test oracles.
+//
+// None of them checkpoint: a MinerOptions carrying a checkpoint_writer or a
+// resume checkpoint is rejected with InvalidArgument.
 
 #pragma once
 

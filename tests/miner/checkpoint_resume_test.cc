@@ -4,13 +4,15 @@
 // the final checkpoint must produce output byte-identical to an
 // uninterrupted run — same patterns in the same emission order, and the
 // merged metrics delta equal to the clean run's — for both pattern
-// languages, both growth backends, and the level-wise miners.
+// languages and both growth configurations (P-TPMiner and the physical
+// baselines). The level-wise miners do not checkpoint and must say so.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -178,32 +180,6 @@ TEST_P(CheckpointResumeTest, CoincidenceGrowthEveryMaskAndCap) {
   }
 }
 
-TEST_P(CheckpointResumeTest, EndpointLevelwise) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  auto mine = [](const IntervalDatabase& d, const MinerOptions& o) {
-    return MineLevelwiseEndpoint(d, o, LevelwiseConfig{});
-  };
-  const MinerOptions base = BaseOptions(0);
-  auto clean = MineLevelwiseEndpoint(db, base, LevelwiseConfig{});
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  for (uint64_t cap : CapsFor(clean->patterns.size())) {
-    ExpectInterruptResumeExact(db, base, cap, mine, "ep_levelwise");
-  }
-}
-
-TEST_P(CheckpointResumeTest, CoincidenceLevelwise) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  auto mine = [](const IntervalDatabase& d, const MinerOptions& o) {
-    return MineLevelwiseCoincidence(d, o, LevelwiseConfig{});
-  };
-  const MinerOptions base = BaseOptions(0);
-  auto clean = MineLevelwiseCoincidence(db, base, LevelwiseConfig{});
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  for (uint64_t cap : CapsFor(clean->patterns.size())) {
-    ExpectInterruptResumeExact(db, base, cap, mine, "co_levelwise");
-  }
-}
-
 // A second interruption during a resumed run must fold transitively: the
 // final resume still reproduces the clean run exactly.
 TEST_P(CheckpointResumeTest, ResumeOfResumeFoldsTransitively) {
@@ -255,7 +231,7 @@ TEST_P(CheckpointResumeTest, ResumeOfResumeFoldsTransitively) {
 
 // Checkpoints are scheduling-independent durable state: a run interrupted
 // while mining with N workers must resume byte-identically under any other
-// worker count (and vice versa) — the v2 per-unit pattern grouping is what
+// worker count (and vice versa) — the per-unit pattern grouping is what
 // makes the regrouping thread-count-agnostic.
 TEST_P(CheckpointResumeTest, ResumeAcrossThreadCounts) {
   const IntervalDatabase db = MakeDb(GetParam());
@@ -336,14 +312,27 @@ TEST(CheckpointResumeValidationTest, MismatchedOptionsNameEveryField) {
   EXPECT_EQ(st.message().find("postfix_pruning"), std::string::npos)
       << "unchanged field named: " << st.ToString();
 
-  // A growth checkpoint offered to the level-wise miner differs in algo.
-  MinerOptions lw = options;
-  lw.resume = &*ckpt;
+  // A baseline checkpoint offered to P-TPMiner differs in algo (and in the
+  // effective pruning toggles the baseline forces off).
+  EndpointGrowthConfig physical;
+  physical.physical_projection = true;
+  physical.force_disable_prunings = true;
+  const std::string physical_path = TempPath("resume_mismatch_physical.tpmc");
+  CheckpointWriter physical_writer(physical_path, 0.0);
+  MinerOptions physical_part = options;
+  physical_part.max_patterns = 1;
+  physical_part.checkpoint_writer = &physical_writer;
+  ASSERT_TRUE(MineEndpointGrowth(db, physical_part, physical).ok());
+  auto physical_ckpt = ReadCheckpointFile(physical_path);
+  ASSERT_TRUE(physical_ckpt.ok()) << physical_ckpt.status();
+  MinerOptions growth = options;
+  growth.resume = &*physical_ckpt;
   const Status algo_st =
-      MineLevelwiseEndpoint(db, lw, LevelwiseConfig{}).status();
+      MineEndpointGrowth(db, growth, EndpointGrowthConfig{}).status();
   ASSERT_EQ(algo_st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(algo_st.message().find("algo"), std::string::npos)
       << algo_st.ToString();
+  std::remove(physical_path.c_str());
 
   // A different database differs in fingerprint.
   const IntervalDatabase other_db = MakeDb(43);
@@ -355,6 +344,34 @@ TEST(CheckpointResumeValidationTest, MismatchedOptionsNameEveryField) {
   EXPECT_NE(db_st.message().find("different database"), std::string::npos)
       << db_st.ToString();
   std::remove(path.c_str());
+}
+
+// Checkpointing is a growth-engine feature: every level-wise miner (the
+// IEMiner-style baseline and both brute-force oracles) refuses a writer or
+// a resume checkpoint instead of silently ignoring it.
+TEST(CheckpointResumeValidationTest, LevelwiseRejectsWriterAndResume) {
+  const IntervalDatabase db = MakeDb(46);
+  const std::string path = TempPath("resume_levelwise.tpmc");
+  CheckpointWriter writer(path, 0.0);
+  const Checkpoint resume;
+  LevelwiseConfig oracle;
+  oracle.frequent_alphabet = false;
+  oracle.apriori_check = false;
+  for (const LevelwiseConfig& config : {LevelwiseConfig{}, oracle}) {
+    MinerOptions with_writer = BaseOptions(0);
+    with_writer.checkpoint_writer = &writer;
+    MinerOptions with_resume = BaseOptions(0);
+    with_resume.resume = &resume;
+    for (const MinerOptions* options : {&with_writer, &with_resume}) {
+      const Status ep = MineLevelwiseEndpoint(db, *options, config).status();
+      EXPECT_EQ(ep.code(), StatusCode::kInvalidArgument) << ep.ToString();
+      const Status co =
+          MineLevelwiseCoincidence(db, *options, config).status();
+      EXPECT_EQ(co.code(), StatusCode::kInvalidArgument) << co.ToString();
+    }
+  }
+  EXPECT_EQ(writer.writes(), 0u);
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 TEST(CheckpointResumeValidationTest, GatedWriterStillLeavesFinalCheckpoint) {

@@ -1,10 +1,11 @@
 // Regression tests for the exact-byte memory accounting the arena-backed
-// projection layer enables (ISSUE 4 satellite). In pseudo mode every tracked
-// allocation is one of three monotone components — the representation build,
-// the projection arenas (charged per mapped block, never released until the
-// engine dies), and the emitted patterns — so the MemoryTracker high-water
-// mark must equal their sum EXACTLY, not approximately. Any drift means a
-// component went back to estimate-based accounting.
+// projection layer enables. For P-TPMiner every tracked allocation is one of
+// three monotone components — the representation build, the projection
+// arenas (charged per mapped block, never released until the engine dies),
+// and the emitted patterns — so the MemoryTracker high-water mark must equal
+// their sum EXACTLY, not approximately. Any drift means a component went
+// back to estimate-based accounting. The physical-projection baselines add
+// one more, transient component: their per-span postfix copies.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +48,6 @@ TEST(MemoryAccountingTest, EndpointPseudoPeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(7);
   MinerOptions options;
   options.min_support = 0.15;
-  options.projection = ProjectionMode::kPseudo;
   auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(result->patterns.size(), 0u);
@@ -61,7 +61,6 @@ TEST(MemoryAccountingTest, CoincidencePseudoPeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(11);
   MinerOptions options;
   options.min_support = 0.15;
-  options.projection = ProjectionMode::kPseudo;
   auto result = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(result->patterns.size(), 0u);
@@ -76,7 +75,6 @@ TEST(MemoryAccountingTest, ZeroPatternRunPinsPureIdentity) {
   const IntervalDatabase db = MakeDb(13);
   MinerOptions options;
   options.min_support = static_cast<double>(db.size() + 1);  // unreachable
-  options.projection = ProjectionMode::kPseudo;
   auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->patterns.size(), 0u);
@@ -84,18 +82,39 @@ TEST(MemoryAccountingTest, ZeroPatternRunPinsPureIdentity) {
             result->stats.build_bytes + result->stats.arena_peak_bytes);
 }
 
-// Copy mode keeps the legacy capacity-estimate profile: arenas stay unmapped
-// and the peak reflects the heap-copied staging, which is at least the build
-// bytes but no longer an exact sum.
-TEST(MemoryAccountingTest, CopyModeMapsNoArenas) {
+// The baselines (TPrefixSpan / CTMiner) stage through the same arenas, so
+// they report a real arena peak and export it as the run's gauge; their
+// tracked peak also covers the postfix copies charged on top.
+template <typename ResultT>
+void ExpectBaselineAccounting(const ResultT& result) {
+  ASSERT_GT(result.patterns.size(), 0u);
+  EXPECT_GT(result.stats.arena_peak_bytes, 0u);
+  const obs::GaugeSample* gauge =
+      result.stats.metrics.FindGauge("miner.arena.peak_bytes");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value, static_cast<int64_t>(result.stats.arena_peak_bytes));
+  EXPECT_GE(result.stats.peak_tracked_bytes,
+            result.stats.build_bytes + result.stats.arena_peak_bytes +
+                PatternBytes(result));
+}
+
+TEST(MemoryAccountingTest, BaselinesExportTheirArenaPeak) {
   const IntervalDatabase db = MakeDb(7);
   MinerOptions options;
   options.min_support = 0.15;
-  options.projection = ProjectionMode::kCopy;
-  auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->stats.arena_peak_bytes, 0u);
-  EXPECT_GE(result->stats.peak_tracked_bytes, result->stats.build_bytes);
+  EndpointGrowthConfig tprefixspan;
+  tprefixspan.physical_projection = true;
+  tprefixspan.force_disable_prunings = true;
+  auto ep = MineEndpointGrowth(db, options, tprefixspan);
+  ASSERT_TRUE(ep.ok()) << ep.status();
+  ExpectBaselineAccounting(*ep);
+
+  CoincidenceGrowthConfig ctminer;
+  ctminer.physical_projection = true;
+  ctminer.force_disable_prunings = true;
+  auto co = MineCoincidenceGrowth(db, options, ctminer);
+  ASSERT_TRUE(co.ok()) << co.status();
+  ExpectBaselineAccounting(*co);
 }
 
 }  // namespace

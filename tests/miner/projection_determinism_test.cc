@@ -1,14 +1,15 @@
 // Determinism suite for the growth engine's interchangeable execution
-// configurations: on random QUEST databases, the mined (pattern, support)
-// stream must be byte-identical
-//   - between --projection=copy (legacy heap-copied states) and
-//     --projection=pseudo (arena-backed flat spans), and
-//   - between --threads=1 and any worker count (with and without --steal),
-// for both pattern languages and every pruning on/off combination. The copy
-// path exists only as the A/B baseline; the thread sweep pins the
-// scheduler/worker/merger contract (docs/ARCHITECTURE.md): identical
-// patterns in identical emission order AND identical merged metrics for any
-// thread count and completion order.
+// configurations, on random QUEST databases:
+//   - P-TPMiner/E and /C (arena-backed pseudo-projection, any pruning mask,
+//     with and without a time window) must report the same sorted pattern
+//     set as their physical-projection baselines TPrefixSpan and CTMiner —
+//     the mid-size cross-check next to the tiny-database oracle tests;
+//   - --threads=1 and any worker count (with and without --steal) must mine
+//     a byte-identical stream, for both pattern languages and every pruning
+//     on/off combination. The thread sweep pins the scheduler/worker/merger
+//     contract (docs/ARCHITECTURE.md): identical patterns in identical
+//     emission order AND identical merged metrics for any thread count and
+//     completion order.
 
 #include <gtest/gtest.h>
 
@@ -60,59 +61,45 @@ INSTANTIATE_TEST_SUITE_P(QuestSeeds, ProjectionDeterminismTest,
                          ::testing::Range(uint64_t{1},
                                           uint64_t{kNumDatabases + 1}));
 
-TEST_P(ProjectionDeterminismTest, EndpointCopyAndPseudoAgree) {
+// The pruned pseudo-projection miners against their unpruned physical
+// baselines: every pruning mask, with no window and with max_window = 40.
+TEST_P(ProjectionDeterminismTest, PseudoMinersMatchPhysicalBaselines) {
   const IntervalDatabase db = MakeDb(GetParam());
-  // All eight pair/postfix/validity combinations.
-  for (uint32_t mask = 0; mask < 8; ++mask) {
-    MinerOptions options = BaseOptions(mask);
-    options.projection = ProjectionMode::kPseudo;
-    obs::StatsDomain pseudo_domain("pseudo");
-    options.stats_domain = &pseudo_domain;
-    auto pseudo = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-    ASSERT_TRUE(pseudo.ok()) << pseudo.status();
-    options.projection = ProjectionMode::kCopy;
-    obs::StatsDomain copy_domain("copy");
-    options.stats_domain = &copy_domain;
-    auto copy = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-    ASSERT_TRUE(copy.ok()) << copy.status();
-    pseudo->SortCanonically();
-    copy->SortCanonically();
-    ASSERT_EQ(pseudo->patterns.size(), copy->patterns.size())
-        << "pruning mask " << mask;
-    EXPECT_EQ(Render(*pseudo, db.dict()), Render(*copy, db.dict()))
-        << "pruning mask " << mask;
-    // Search statistics must match too: the backends store the same states.
-    EXPECT_EQ(pseudo->stats.nodes_expanded, copy->stats.nodes_expanded);
-    EXPECT_EQ(pseudo->stats.states_created, copy->stats.states_created);
-    EXPECT_EQ(pseudo->stats.candidates_checked, copy->stats.candidates_checked);
-    // And the full observability delta, modulo memory accounting.
-    EXPECT_EQ(ComparableMetricsJson(pseudo->stats.metrics),
-              ComparableMetricsJson(copy->stats.metrics))
-        << "pruning mask " << mask;
-  }
-}
-
-TEST_P(ProjectionDeterminismTest, CoincidenceCopyAndPseudoAgree) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  // Coincidence honors pair/postfix pruning: four combinations.
-  for (uint32_t mask = 0; mask < 4; ++mask) {
-    MinerOptions options = BaseOptions(mask);
-    options.projection = ProjectionMode::kPseudo;
-    auto pseudo = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
-    ASSERT_TRUE(pseudo.ok()) << pseudo.status();
-    options.projection = ProjectionMode::kCopy;
-    auto copy = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
-    ASSERT_TRUE(copy.ok()) << copy.status();
-    pseudo->SortCanonically();
-    copy->SortCanonically();
-    EXPECT_EQ(Render(*pseudo, db.dict()), Render(*copy, db.dict()))
-        << "pruning mask " << mask;
-    EXPECT_EQ(pseudo->stats.nodes_expanded, copy->stats.nodes_expanded);
-    EXPECT_EQ(pseudo->stats.states_created, copy->stats.states_created);
-    EXPECT_EQ(pseudo->stats.candidates_checked, copy->stats.candidates_checked);
-    EXPECT_EQ(ComparableMetricsJson(pseudo->stats.metrics),
-              ComparableMetricsJson(copy->stats.metrics))
-        << "pruning mask " << mask;
+  EndpointGrowthConfig tprefixspan;
+  tprefixspan.physical_projection = true;
+  tprefixspan.force_disable_prunings = true;
+  CoincidenceGrowthConfig ctminer;
+  ctminer.physical_projection = true;
+  ctminer.force_disable_prunings = true;
+  for (TimeT window : {TimeT{0}, TimeT{40}}) {
+    MinerOptions base = BaseOptions(0);
+    base.max_window = window;
+    auto ep_base = MineEndpointGrowth(db, base, tprefixspan);
+    auto co_base = MineCoincidenceGrowth(db, base, ctminer);
+    ASSERT_TRUE(ep_base.ok()) << ep_base.status();
+    ASSERT_TRUE(co_base.ok()) << co_base.status();
+    ep_base->SortCanonically();
+    co_base->SortCanonically();
+    const auto ep_want = Render(*ep_base, db.dict());
+    const auto co_want = Render(*co_base, db.dict());
+    // All eight pair/postfix/validity combinations; coincidence mining
+    // ignores the validity bit, so its four distinct masks repeat.
+    for (uint32_t mask = 0; mask < 8; ++mask) {
+      MinerOptions options = BaseOptions(mask);
+      options.max_window = window;
+      auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+      ASSERT_TRUE(ep.ok()) << ep.status();
+      ep->SortCanonically();
+      EXPECT_EQ(Render(*ep, db.dict()), ep_want)
+          << "P-TPMiner/E vs TPrefixSpan, mask " << mask << " window "
+          << window;
+      if (mask >= 4) continue;
+      auto co = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+      ASSERT_TRUE(co.ok()) << co.status();
+      co->SortCanonically();
+      EXPECT_EQ(Render(*co, db.dict()), co_want)
+          << "P-TPMiner/C vs CTMiner, mask " << mask << " window " << window;
+    }
   }
 }
 
@@ -125,7 +112,6 @@ TEST_P(ProjectionDeterminismTest, MergedMetricsSnapshotsAreOrderInvariant) {
   std::vector<obs::DomainSnapshot> snaps;
   for (uint32_t mask = 0; mask < 8; ++mask) {
     MinerOptions options = BaseOptions(mask);
-    options.projection = ProjectionMode::kPseudo;
     obs::StatsDomain domain("mask-" + std::to_string(mask));
     options.stats_domain = &domain;
     auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
@@ -140,28 +126,6 @@ TEST_P(ProjectionDeterminismTest, MergedMetricsSnapshotsAreOrderInvariant) {
     EXPECT_EQ(obs::MergeDomainSnapshots(shuffled).ToJson(), reference)
         << "round " << round;
   }
-}
-
-TEST_P(ProjectionDeterminismTest, WindowConstraintAgreesAcrossBackends) {
-  const IntervalDatabase db = MakeDb(GetParam());
-  MinerOptions options = BaseOptions(7);
-  options.max_window = 40;
-  options.projection = ProjectionMode::kPseudo;
-  auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-  auto cp = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
-  ASSERT_TRUE(ep.ok()) << ep.status();
-  ASSERT_TRUE(cp.ok()) << cp.status();
-  options.projection = ProjectionMode::kCopy;
-  auto ec = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
-  auto cc = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
-  ASSERT_TRUE(ec.ok()) << ec.status();
-  ASSERT_TRUE(cc.ok()) << cc.status();
-  ep->SortCanonically();
-  ec->SortCanonically();
-  cp->SortCanonically();
-  cc->SortCanonically();
-  EXPECT_EQ(Render(*ep, db.dict()), Render(*ec, db.dict()));
-  EXPECT_EQ(Render(*cp, db.dict()), Render(*cc, db.dict()));
 }
 
 // Renders the exact emission order (testing::Render sorts): the parallel
@@ -240,28 +204,6 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
           << "mask " << mask << " threads " << threads;
     }
   }
-}
-
-// The physical-projection baselines (TPrefixSpan / CTMiner) must force the
-// copy backend regardless of the requested mode: their defining behavior is
-// materializing postfix copies.
-TEST(ProjectionBaselineTest, PhysicalProjectionIgnoresPseudoRequest) {
-  const IntervalDatabase db = MakeDb(99);
-  MinerOptions options = BaseOptions(0);
-  options.projection = ProjectionMode::kPseudo;
-  EndpointGrowthConfig baseline;
-  baseline.physical_projection = true;
-  baseline.force_disable_prunings = true;
-  auto result = MineEndpointGrowth(db, options, baseline);
-  ASSERT_TRUE(result.ok()) << result.status();
-  // Copy mode never maps projection arenas.
-  EXPECT_EQ(result->stats.arena_peak_bytes, 0u);
-  options.projection = ProjectionMode::kCopy;
-  auto same = MineEndpointGrowth(db, options, baseline);
-  ASSERT_TRUE(same.ok()) << same.status();
-  result->SortCanonically();
-  same->SortCanonically();
-  EXPECT_EQ(Render(*result, db.dict()), Render(*same, db.dict()));
 }
 
 }  // namespace

@@ -110,28 +110,6 @@ TEST(CliTest, MineCoincidence) {
   EXPECT_NE(out.find("<(Fever Rash)>"), std::string::npos);
 }
 
-TEST(CliTest, MineProjectionBackendsAgreeAndBadValueFails) {
-  const std::string db = TempPath("cli_proj.tisd");
-  WriteSample(db);
-  std::string pseudo_out, copy_out, out;
-  ASSERT_EQ(RunCli({"tpm", "mine", db.c_str(), "--minsup=2",
-                    "--projection=pseudo"},
-                   &pseudo_out),
-            0);
-  ASSERT_EQ(RunCli({"tpm", "mine", db.c_str(), "--minsup=2",
-                    "--projection=copy"},
-                   &copy_out),
-            0);
-  // Identical pattern lines; the trailing "# ..." summary differs (the two
-  // backends report different peak_tracked bytes by design).
-  EXPECT_EQ(pseudo_out.substr(0, pseudo_out.find("\n# ")),
-            copy_out.substr(0, copy_out.find("\n# ")));
-  EXPECT_NE(pseudo_out.find("<{Fever+}{Rash+}{Fever-}{Rash-}>"),
-            std::string::npos);
-  EXPECT_NE(RunCli({"tpm", "mine", db.c_str(), "--projection=granular"}, &out),
-            0);
-}
-
 TEST(CliTest, MineRejectsBadAlgo) {
   const std::string db = TempPath("cli_bad.tisd");
   WriteSample(db);
@@ -594,6 +572,32 @@ TEST(CliCheckpointTest, BadFlagValuesExitWith1) {
   EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--checkpoint-out="}, &out), 1);
   EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--checkpoint-every=-1"}, &out),
             1);
+}
+
+// Only the growth miners checkpoint: the level-wise miner is refused at flag
+// validation, before the database is even loaded (and no checkpoint file is
+// created).
+TEST(CliCheckpointTest, LevelwiseRejectsCheckpointFlags) {
+  const std::string db = TempPath("cli_ckpt_levelwise.tisd");
+  WriteSample(db);
+  const std::string ckpt = TempPath("cli_ckpt_levelwise.tpmc");
+  std::remove(ckpt.c_str());
+  std::string out;
+  EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--algo", "levelwise",
+                    "--checkpoint-out", ckpt.c_str()},
+                   &out),
+            1);
+  EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--algo", "levelwise",
+                    "--resume", ckpt.c_str()},
+                   &out),
+            1);
+  EXPECT_FALSE(std::ifstream(ckpt).good());
+  // The same flags still work for the growth miner.
+  EXPECT_EQ(RunCli({"tpm", "mine", db.c_str(), "--minsup=2",
+                    "--checkpoint-out", ckpt.c_str()},
+                   &out),
+            0);
+  std::remove(ckpt.c_str());
 }
 
 TEST(CliTest, HelpFlagsForSubcommands) {

@@ -15,9 +15,9 @@ Enforces invariants generic tools can't (see docs/STATIC_ANALYSIS.md):
             anywhere in src/ library code (headers or .cc) — stream state and
             static-init-order surprises stay confined to tools/tests/benches.
   projection  no copied-projection containers (std::vector<OccState>-style
-            per-state heap structures) in src/ outside the legacy copy backend
-            in src/core/projection.h — new engine code must stage through
-            ProjectionBuilder so projections stay flat and arena-backed.
+            per-state heap structures) anywhere in src/ — engine code must
+            stage through ProjectionBuilder (src/core/projection.h) so
+            projections stay flat and arena-backed.
   locking   Tier D concurrency hygiene (docs/STATIC_ANALYSIS.md): src/ uses
             tpm::Mutex/MutexLock (src/util/sync.h), never raw std::mutex or
             std::lock_guard, so every lock carries thread-safety capability
@@ -267,15 +267,14 @@ def check_header_compiles(root, findings, compiler="g++"):
 
 
 # --------------------------------------------------------------------------
-# projection: no copied projections outside the legacy backend
+# projection: no copied projections anywhere in src/
 # --------------------------------------------------------------------------
 
-# The legacy copy backend (deprecated, kept as the --projection=copy A/B
-# baseline) is the only place allowed to hold per-state heap containers.
-PROJECTION_ALLOWED = (os.path.join("src", "core", "projection.h"),)
+# Files allowed to hold per-state heap containers. Empty: every projection
+# is staged and finalized by ProjectionBuilder's arenas.
+PROJECTION_ALLOWED = ()
 PROJECTION_RE = re.compile(
-    r"std::(?:vector|deque|list)<\s*(OccState|SeqProj|ProjectedDb|CopyState"
-    r"|CopySeq)\b")
+    r"std::(?:vector|deque|list)<\s*(OccState|SeqProj|ProjectedDb)\b")
 
 
 def check_projection(root, findings):
@@ -288,8 +287,8 @@ def check_projection(root, findings):
             if m:
                 findings.add(
                     "projection", rel, lineno,
-                    f"copied-projection container holding '{m.group(1)}' "
-                    "outside the legacy copy backend; stage through "
+                    f"copied-projection container holding '{m.group(1)}'; "
+                    "stage through "
                     "ProjectionBuilder (src/core/projection.h) so projections "
                     "stay flat and arena-backed")
 
@@ -826,7 +825,7 @@ def self_test(root):
             "using LegacyProjection = std::vector<OccState>;", 1)
         open(path, "w").write(text)
 
-    plant("copied projection outside the legacy backend", copied_projection,
+    plant("copied projection container in src/", copied_projection,
           "projection", "OccState")
 
     def unguarded_static(scratch):
