@@ -47,5 +47,6 @@ int main() {
   }
   PrintTable(cells);
   WriteJsonRecords("fig1a_runtime_minsup", cells);
+  CheckAgreement(cells);
   return 0;
 }

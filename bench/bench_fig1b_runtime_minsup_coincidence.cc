@@ -43,5 +43,6 @@ int main() {
   }
   PrintTable(cells);
   WriteJsonRecords("fig1b_runtime_minsup_coincidence", cells);
+  CheckAgreement(cells);
   return 0;
 }

@@ -47,5 +47,6 @@ int main() {
   }
   PrintTable(cells);
   WriteJsonRecords("fig1c_scalability", cells);
+  CheckAgreement(cells);
   return 0;
 }

@@ -60,5 +60,6 @@ int main() {
   std::printf("\n");
   PrintTable(cells);
   WriteJsonRecords("fig1d_memory", cells);
+  CheckAgreement(cells);
   return 0;
 }

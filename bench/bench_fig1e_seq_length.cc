@@ -49,5 +49,6 @@ int main() {
   }
   PrintTable(cells);
   WriteJsonRecords("fig1e_seq_length", cells);
+  CheckAgreement(cells);
   return 0;
 }

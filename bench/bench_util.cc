@@ -1,9 +1,11 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "io/atomic_write.h"
 #include "util/string_util.h"
@@ -18,13 +20,42 @@ std::string Cell::SecondsStr() const {
 
 namespace {
 
-Cell MakeCell(const std::string& algo, const std::string& config,
-              const MiningStats& stats, uint64_t patterns) {
+// FNV-1a over the sorted "support<TAB>pattern" lines of a pattern list, as
+// 16 hex digits: equal for two miners exactly when they mined the same set.
+template <typename PatternT>
+std::string PatternSetHash(const std::vector<MinedPattern<PatternT>>& patterns,
+                           const Dictionary& dict) {
+  std::vector<std::string> lines;
+  lines.reserve(patterns.size());
+  for (const auto& mp : patterns) {
+    lines.push_back(std::to_string(mp.support) + "\t" +
+                    mp.pattern.ToString(dict));
+  }
+  std::sort(lines.begin(), lines.end());
+  uint64_t h = 14695981039346656037ull;
+  for (const std::string& line : lines) {
+    for (char ch : line) {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 1099511628211ull;
+    }
+    h ^= '\n';
+    h *= 1099511628211ull;
+  }
+  return StringPrintf("%016" PRIx64, h);
+}
+
+template <typename ResultT>
+Cell MakeCell(const std::string& algo, const std::string& language,
+              const std::string& config, const ResultT& result,
+              const Dictionary& dict) {
+  const MiningStats& stats = result.stats;
   Cell c;
   c.algo = algo;
+  c.language = language;
   c.config = config;
   c.seconds = stats.build_seconds + stats.mine_seconds;
-  c.patterns = patterns;
+  c.patterns = result.patterns.size();
+  c.pattern_hash = PatternSetHash(result.patterns, dict);
   c.memory_bytes = stats.peak_tracked_bytes;
   c.candidates = stats.candidates_checked;
   c.states = stats.states_created;
@@ -62,11 +93,12 @@ Cell RunEndpoint(EndpointMiner* miner, const IntervalDatabase& db,
                  result.status().ToString().c_str());
     Cell c;
     c.algo = miner->name();
+    c.language = "endpoint";
     c.config = config;
     c.dnf = true;
     return c;
   }
-  return MakeCell(miner->name(), config, result->stats, result->patterns.size());
+  return MakeCell(miner->name(), "endpoint", config, *result, db.dict());
 }
 
 Cell RunCoincidence(CoincidenceMiner* miner, const IntervalDatabase& db,
@@ -79,11 +111,46 @@ Cell RunCoincidence(CoincidenceMiner* miner, const IntervalDatabase& db,
                  result.status().ToString().c_str());
     Cell c;
     c.algo = miner->name();
+    c.language = "coincidence";
     c.config = config;
     c.dnf = true;
     return c;
   }
-  return MakeCell(miner->name(), config, result->stats, result->patterns.size());
+  return MakeCell(miner->name(), "coincidence", config, *result, db.dict());
+}
+
+void CheckAgreement(const std::vector<Cell>& cells, bool across_configs) {
+  // Group key -> the first finishing cell seen in the group.
+  std::map<std::pair<std::string, std::string>, const Cell*> first;
+  size_t compared = 0;
+  bool agree = true;
+  for (const Cell& c : cells) {
+    if (c.dnf) continue;
+    const auto key =
+        std::make_pair(c.language, across_configs ? std::string() : c.config);
+    auto [it, inserted] = first.emplace(key, &c);
+    if (inserted) continue;
+    ++compared;
+    const Cell& ref = *it->second;
+    if (c.pattern_hash != ref.pattern_hash) {
+      agree = false;
+      std::fprintf(stderr,
+                   "agreement: %s %s (%llu patterns, %s) != %s %s "
+                   "(%llu patterns, %s)\n",
+                   c.algo.c_str(), c.config.c_str(),
+                   static_cast<unsigned long long>(c.patterns),
+                   c.pattern_hash.c_str(), ref.algo.c_str(),
+                   ref.config.c_str(),
+                   static_cast<unsigned long long>(ref.patterns),
+                   ref.pattern_hash.c_str());
+    }
+  }
+  if (!agree) {
+    std::fprintf(stderr, "agreement: FAILED\n");
+    std::exit(1);
+  }
+  std::printf("agreement: ok (%zu groups, %zu cross-checks)\n", first.size(),
+              compared);
 }
 
 void PrintBanner(const std::string& figure, const std::string& claim,
@@ -164,6 +231,8 @@ void WriteJsonRecords(const std::string& name, const std::vector<Cell>& cells) {
         << ", \"patterns\": " << c.patterns
         << ", \"memory_bytes\": " << c.memory_bytes
         << ", \"candidates\": " << c.candidates << ", \"states\": " << c.states
+        << ", \"language\": " << JsonQuote(c.language)
+        << ", \"pattern_hash\": " << JsonQuote(c.pattern_hash)
         << ", \"dnf\": " << (c.dnf ? "true" : "false")
         << ", \"stop_reason\": " << JsonQuote(StopReasonName(c.stop_reason))
         << ", \"metrics\": " << c.metrics.ToJson() << "}"

@@ -29,6 +29,8 @@ struct Cell {
   size_t memory_bytes = 0;
   uint64_t candidates = 0;
   uint64_t states = 0;
+  std::string language;     // "endpoint" or "coincidence"
+  std::string pattern_hash;  // FNV-1a of the sorted "support\tpattern" lines
   bool dnf = false;      // truncated or failed before completing
   StopReason stop_reason = StopReason::kNone;  // why, when dnf is true
   obs::MetricsSnapshot metrics;  // per-run registry delta (prune.*, search.*)
@@ -45,6 +47,14 @@ Cell RunEndpoint(EndpointMiner* miner, const IntervalDatabase& db,
 Cell RunCoincidence(CoincidenceMiner* miner, const IntervalDatabase& db,
                     MinerOptions options, const std::string& config,
                     double budget_seconds);
+
+/// Fails the bench (exit 1, after naming every disagreeing pair) unless all
+/// cells that finished agree on the pattern set within each language and
+/// config — or, with `across_configs`, within each language over all
+/// configs (for tables whose rows vary only exact prunings). Prints one
+/// summary line on success.
+void CheckAgreement(const std::vector<Cell>& cells,
+                    bool across_configs = false);
 
 /// Prints the experiment banner.
 void PrintBanner(const std::string& figure, const std::string& claim,

@@ -106,6 +106,20 @@ class ProjectionArenas {
 
   Arena& staging() { return staging_; }
 
+  /// Heap scratch ProjectionBuilder::Finalize unpacks one bucket's staged
+  /// chunks into. Finalize calls never nest (a node's buckets finalize one
+  /// after another), so every builder on these arenas shares one set, and it
+  /// keeps its capacity across buckets and nodes. Untracked.
+  struct FinalizeScratch {
+    std::vector<SeqSpan> spans;
+    std::vector<StateRec> recs;
+    std::vector<uint32_t> aux;
+    std::vector<uint32_t> keep_flat;
+    std::vector<uint32_t> keep_offsets;
+    std::vector<uint32_t> span_keep;
+  };
+  FinalizeScratch& finalize_scratch() { return scratch_; }
+
   /// The arena holding finalized projections of nodes at depth `d` (root
   /// spans live at depth 0, its children at depth 1, ...). Shallow arenas
   /// carry a whole fan-out of sibling projections at once and get full-size
@@ -142,6 +156,7 @@ class ProjectionArenas {
   MemoryTracker* tracker_;
   Arena staging_;
   std::deque<Arena> depth_;  // deque: arenas are immovable once created
+  FinalizeScratch scratch_;
 };
 
 /// \brief Builds one child bucket's projected database during the parent
@@ -219,17 +234,19 @@ class ProjectionBuilder {
   template <typename SelectFn>
   const NodeProjection& Finalize(SelectFn&& select) {
     const uint32_t nspans = num_spans();
-    GatherStagedChunks();
-    keep_flat_.clear();
-    keep_offsets_.clear();
-    keep_offsets_.push_back(0);
+    ProjectionArenas::FinalizeScratch& sc = arenas_->finalize_scratch();
+    GatherStagedChunks(&sc);
+    sc.keep_flat.clear();
+    sc.keep_offsets.clear();
+    sc.keep_offsets.push_back(0);
     for (uint32_t i = 0; i < nspans; ++i) {
-      span_keep_.clear();
-      select(StagedView(i), &span_keep_);
-      keep_flat_.insert(keep_flat_.end(), span_keep_.begin(), span_keep_.end());
-      keep_offsets_.push_back(static_cast<uint32_t>(keep_flat_.size()));
+      sc.span_keep.clear();
+      select(StagedView(sc, i), &sc.span_keep);
+      sc.keep_flat.insert(sc.keep_flat.end(), sc.span_keep.begin(),
+                          sc.span_keep.end());
+      sc.keep_offsets.push_back(static_cast<uint32_t>(sc.keep_flat.size()));
     }
-    const size_t total = keep_flat_.size();
+    const size_t total = sc.keep_flat.size();
 
     Arena& fin = arenas_->depth(depth_);
     SeqSpan* out_spans = fin.AllocateArray<SeqSpan>(nspans);
@@ -239,13 +256,13 @@ class ProjectionBuilder {
     size_t off = 0;
     uint32_t spans_out = 0;
     for (uint32_t i = 0; i < nspans; ++i) {
-      const uint32_t kb = keep_offsets_[i];
-      const uint32_t ke = keep_offsets_[i + 1];
+      const uint32_t kb = sc.keep_offsets[i];
+      const uint32_t ke = sc.keep_offsets[i + 1];
       if (kb == ke) continue;
-      const SpanView v = StagedView(i);
+      const SpanView v = StagedView(sc, i);
       const size_t begin = off;
       for (uint32_t k = kb; k < ke; ++k) {
-        const uint32_t idx = keep_flat_[k];
+        const uint32_t idx = sc.keep_flat[k];
         out_recs[off] = v.recs[idx];
         if (stride_ != 0) {
           std::memcpy(out_aux + off * stride_, v.aux + size_t{idx} * stride_,
@@ -329,36 +346,36 @@ class ProjectionBuilder {
     tail_ = c;
   }
 
-  // Unpacks the chunk stream into contiguous scratch arrays — rebuilding the
-  // span directory from the per-record seq words — so Finalize's SpanViews
-  // are flat. Heap scratch, reused across buckets and untracked.
-  void GatherStagedChunks() {
-    scratch_spans_.clear();
-    scratch_recs_.clear();
-    scratch_aux_.clear();
-    scratch_spans_.reserve(span_count_);
-    scratch_recs_.reserve(staged_states_);
-    scratch_aux_.reserve(staged_states_ * stride_);
+  // Unpacks the chunk stream into the arenas' contiguous scratch arrays —
+  // rebuilding the span directory from the per-record seq words — so
+  // Finalize's SpanViews are flat.
+  void GatherStagedChunks(ProjectionArenas::FinalizeScratch* sc) const {
+    sc->spans.clear();
+    sc->recs.clear();
+    sc->aux.clear();
+    sc->spans.reserve(span_count_);
+    sc->recs.reserve(staged_states_);
+    sc->aux.reserve(staged_states_ * stride_);
     for (StagedChunk* c = head_; c != nullptr; c = c->next) {
       const uint32_t* words = ChunkPayload(c);
       for (uint32_t r = 0; r < c->count; ++r, words += 3 + stride_) {
-        if (scratch_spans_.empty() || scratch_spans_.back().seq != words[0]) {
-          scratch_spans_.push_back(SeqSpan{
-              words[0], static_cast<uint32_t>(scratch_recs_.size()), 0});
+        if (sc->spans.empty() || sc->spans.back().seq != words[0]) {
+          sc->spans.push_back(
+              SeqSpan{words[0], static_cast<uint32_t>(sc->recs.size()), 0});
         }
-        ++scratch_spans_.back().count;
-        scratch_recs_.push_back(StateRec{words[1], words[2]});
-        scratch_aux_.insert(scratch_aux_.end(), words + 3,
-                            words + 3 + stride_);
+        ++sc->spans.back().count;
+        sc->recs.push_back(StateRec{words[1], words[2]});
+        sc->aux.insert(sc->aux.end(), words + 3, words + 3 + stride_);
       }
     }
   }
 
   // Valid only inside Finalize, after GatherStagedChunks.
-  SpanView StagedView(uint32_t i) const {
-    const SeqSpan& s = scratch_spans_[i];
-    return SpanView{s.seq, scratch_recs_.data() + s.offset,
-                    scratch_aux_.data() + size_t{s.offset} * stride_, s.count,
+  SpanView StagedView(const ProjectionArenas::FinalizeScratch& sc,
+                      uint32_t i) const {
+    const SeqSpan& s = sc.spans[i];
+    return SpanView{s.seq, sc.recs.data() + s.offset,
+                    sc.aux.data() + size_t{s.offset} * stride_, s.count,
                     stride_};
   }
 
@@ -374,14 +391,6 @@ class ProjectionBuilder {
   uint32_t span_count_ = 0;
   uint32_t last_seq_ = 0;
   bool have_seq_ = false;
-
-  // Finalize scratch, reused across spans.
-  std::vector<SeqSpan> scratch_spans_;
-  std::vector<uint32_t> keep_flat_;
-  std::vector<uint32_t> keep_offsets_;
-  std::vector<uint32_t> span_keep_;
-  std::vector<StateRec> scratch_recs_;
-  std::vector<uint32_t> scratch_aux_;
 
   NodeProjection view_;
 };

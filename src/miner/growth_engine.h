@@ -3,8 +3,8 @@
 // P-TPMiner/E (endpoint language) and P-TPMiner/C (coincidence language)
 // differ only in their pattern representation and extension semantics; the
 // search scaffolding — projected-database buckets, support counting,
-// candidate admission (pair/postfix pruning with memoized per-node
-// decisions), allowed-symbol epoch tracking, physical-copy baselines,
+// candidate admission (pair/postfix pruning, decided once per child key in a
+// dense key table), allowed-symbol epoch tracking, physical-copy baselines,
 // deterministic child ordering, guard/metrics/validator hooks, and the
 // recursion driver — is identical. GrowthEngine<Policy> owns all of that;
 // the policy contributes the language-specific pieces:
@@ -36,10 +36,11 @@
 //   workers    Each worker owns a full WorkerCtx: a copy of the built
 //              policy (cheap — the language representation is shared via
 //              shared_ptr), its own MemoryTracker, ProjectionArenas,
-//              ExecutionGuard, and postfix-count scratch. Every work item
-//              is mined against a private per-unit StatsDomain, so nothing
-//              mutable is shared between workers on the hot path. With
-//              --threads=1 the same loop runs inline on the calling thread.
+//              ExecutionGuard, child-key table, per-depth child storage and
+//              postfix-count scratch. Every work item is mined against a
+//              private per-unit StatsDomain, so nothing mutable is shared
+//              between workers on the hot path. With --threads=1 the same
+//              loop runs inline on the calling thread.
 //
 //   merger     Workers deliver finished units (pattern bank + metrics
 //              delta) through a single mutex-guarded inbox; the calling
@@ -77,8 +78,6 @@
 #include <memory>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -175,7 +174,6 @@ class GrowthEngine {
     result.stats.build_bytes = rep_bytes + cooc_.MemoryBytes();
     tracker_.Allocate(result.stats.build_bytes);
     num_symbols_ = db_.dict().size();
-    seen_epoch_.assign(num_symbols_, 0);
     result.stats.build_seconds = build_timer.ElapsedSeconds();
     domain_->RecordEvent("build.done", rep_bytes, cooc_.MemoryBytes());
 
@@ -210,19 +208,17 @@ class GrowthEngine {
     root_ctx.tracker = &tracker_;
     root_ctx.arenas = &arenas_;
     root_ctx.guard = &guard_;
-    root_ctx.seen_epoch = &seen_epoch_;
-    root_ctx.epoch = &epoch_;
+    root_ctx.InitScratch(num_symbols_);
     root_ctx.domain = domain_;
     root_ctx.om = om_;
     std::vector<MinedPattern<PatternT>> root_bank;
     root_ctx.bank = &root_bank;
     root_ctx.inline_progress = true;
 
-    NodeChildren root_nc;
-    const bool root_entered = ExpandNode(root_ctx, root, allowed, 0, &root_nc);
-    if (root_entered) {
-      BuildUnits(&root_nc);
-      root_child_allowed_ = &root_nc.child_allowed;
+    NodeChildren* root_nc = ExpandNode(root_ctx, root, allowed, 0);
+    if (root_nc != nullptr) {
+      BuildUnits(*root_nc);
+      root_child_allowed_ = &root_nc->child_allowed;
       total_units_ = units_.size();
       if (progress_ != nullptr) progress_->SetTotalBuckets(units_.size());
     }
@@ -235,15 +231,15 @@ class GrowthEngine {
     // every thread count — and, on a resume, composes with the prior
     // segment's boundary metrics the same way.
     preamble_end_ = domain_->registry().Snapshot();
-    if (root_entered && ckpt_writer_ != nullptr) {
+    if (root_nc != nullptr && ckpt_writer_ != nullptr) {
       boundary_elapsed_ =
           (resume_ != nullptr ? resume_->elapsed_seconds : 0.0) +
           run_timer_.ElapsedSeconds();
     }
 
-    if (root_entered) {
+    if (root_nc != nullptr) {
       RunUnits(root_ctx);
-      ReleaseNode(root_ctx, &root_nc, 0);
+      ReleaseNode(root_ctx, root_nc, 0);
     }
 
     const StopReason stop_reason = static_cast<StopReason>(
@@ -308,39 +304,53 @@ class GrowthEngine {
     ProjectionBuilder builder;
   };
 
-  // Everything one node expansion owns. Kept explicit (rather than spread
-  // over engine members mutated across recursion) so sibling subtrees only
-  // share read-only inputs — the property the worker layer relies on.
-  struct ExpandFrame {
-    std::deque<Bucket> buckets;  // deque: stable addresses under growth
-    std::unordered_map<uint64_t, int32_t> bucket_index;  // key -> idx or -1
-    std::vector<SupportCount> postfix_count;
-    size_t copies_bytes = 0;
-    uint32_t cur_seq = 0;
-  };
+  // Child-key table slot values; any other slot is a bucket index.
+  static constexpr int32_t kUnseenKey = -1;
+  static constexpr int32_t kRejectedKey = -2;
 
-  // A node's finalized children, kept alive while the subtree (or, for the
-  // root and split units, the scheduler) walks them. ReleaseNode undoes the
-  // postfix-copy charge and rewinds the child-depth arena.
+  // A node's finalized children. Each context keeps one per depth and every
+  // node it expands at that depth reuses it, so the vectors keep their
+  // capacity. It is live from ExpandNode to ReleaseNode: the views and
+  // `child_allowed` that the subtree walk, the root's unit table
+  // (UnitInfo::view) or a split unit's thieves (SubUnit::view) read stay
+  // valid exactly that long. ReleaseNode undoes the postfix-copy charge and
+  // rewinds the child-depth arena.
   struct NodeChildren {
-    ExpandFrame frame;
+    std::vector<Bucket> buckets;  ///< in first-seen order
+    std::vector<uint32_t> order;  ///< bucket indices: i_ext desc, code asc
     std::vector<uint8_t> child_allowed;
+    size_t copies_bytes = 0;
     Arena::Mark child_mark;
-    bool entered = false;  ///< node charged and children finalized
+    bool live = false;
   };
 
   // One execution context: the bindings a worker (or the calling thread)
-  // mines with. The pointees are either engine members (root context) or a
-  // WorkerSlot's privately owned copies — never shared between two
-  // concurrently mining contexts.
+  // mines with, plus the scan scratch it owns. The pointees are either
+  // engine members (root context) or a WorkerSlot's privately owned copies —
+  // never shared between two concurrently mining contexts.
   struct WorkerCtx {
     uint32_t id = 0;
     Policy* policy = nullptr;
     MemoryTracker* tracker = nullptr;
     ProjectionArenas* arenas = nullptr;
     ExecutionGuard* guard = nullptr;
-    std::vector<uint32_t>* seen_epoch = nullptr;
-    uint32_t* epoch = nullptr;
+
+    // Child-key table: one slot per key (code << 1) | i_ext, and both
+    // policies' codes stay below 2·|alphabet|. A slot is kUnseenKey,
+    // kRejectedKey or the bucket index of the node being scanned. Each scan
+    // records the keys it first sees in `touched` and resets exactly those
+    // afterwards, so the table is all-unseen between nodes.
+    std::vector<int32_t> key_slot;
+    std::vector<uint32_t> touched;
+    std::vector<SupportCount> postfix_count;
+    // Postfix-counting dedup: a symbol is counted once per projected span
+    // when its stamp differs from the span's epoch. 64-bit because the
+    // epoch advances once per span: a 32-bit one wraps after 2^32 spans on
+    // one context, and never-seen symbols (stamp 0) would then look already
+    // counted and silently undercount the postfix support.
+    std::vector<uint64_t> seen_epoch;
+    uint64_t epoch = 0;
+    std::deque<NodeChildren> children;  ///< by depth; deque: stable addresses
 
     // Current work-item bindings (swapped per unit / sub-unit).
     obs::StatsDomain* domain = nullptr;
@@ -364,6 +374,16 @@ class GrowthEngine {
     // Scheduling attribution (miner.worker.*); null for the root context.
     obs::Histogram* attr_nodes = nullptr;
     obs::Histogram* attr_units = nullptr;
+
+    void InitScratch(size_t num_symbols) {
+      key_slot.assign(4 * num_symbols, kUnseenKey);
+      seen_epoch.assign(num_symbols, 0);
+    }
+
+    NodeChildren& ChildrenAt(uint32_t depth) {
+      if (children.size() <= depth) children.resize(depth + 1);
+      return children[depth];
+    }
   };
 
   // Everything one worker privately owns. The policy copy is cheap: the
@@ -375,14 +395,12 @@ class GrowthEngine {
           arenas(&tracker),
           guard(e->MakeWorkerLimits(), &tracker),
           attribution(StringPrintf("worker-%u", id)) {
-      seen_epoch.assign(e->num_symbols_, 0);
       ctx.id = id;
       ctx.policy = &policy;
       ctx.tracker = &tracker;
       ctx.arenas = &arenas;
       ctx.guard = &guard;
-      ctx.seen_epoch = &seen_epoch;
-      ctx.epoch = &epoch;
+      ctx.InitScratch(e->num_symbols_);
       ctx.attr_nodes = attribution.GetHistogram("miner.worker.nodes",
                                                 obs::LinearBounds(0, 1, 65));
       ctx.attr_units = attribution.GetHistogram("miner.worker.units",
@@ -392,8 +410,6 @@ class GrowthEngine {
     MemoryTracker tracker;
     ProjectionArenas arenas;
     ExecutionGuard guard;
-    std::vector<uint32_t> seen_epoch;
-    uint32_t epoch = 0;
     obs::StatsDomain attribution;  // worker-<id>: miner.worker.* histograms
     WorkerCtx ctx;
   };
@@ -404,7 +420,7 @@ class GrowthEngine {
     uint32_t code = 0;
     bool i_ext = false;
     bool splittable = false;
-    const NodeProjection* view = nullptr;  ///< lives in the root's children
+    const NodeProjection* view = nullptr;  ///< in the root's NodeChildren
   };
 
   // The merged fate of one unit. `bank`/`delta` are written by the merger
@@ -447,10 +463,11 @@ class GrowthEngine {
   };
 
   // One stealable level-2 child of a split unit. The view and allowed set
-  // live in the owner's arenas / NodeChildren, which the owner keeps alive
-  // (and does not rewind) until every sub joined. `bank`/`delta`/`complete`
-  // are written by the thief before its release-decrement on `remaining`
-  // and read by the owner after the acquire-load observes zero.
+  // live in the owner's arenas / depth-1 NodeChildren, which the owner keeps
+  // live (and does not rewind) until every sub joined.
+  // `bank`/`delta`/`complete` are written by the thief before its
+  // release-decrement on `remaining` and read by the owner after the
+  // acquire-load observes zero.
   struct SubUnit {
     uint64_t unit_id = 0;
     uint32_t ord = 0;  ///< deterministic child order within the unit
@@ -490,19 +507,20 @@ class GrowthEngine {
   }
 
   /// Expands one node: charges it, emits when the policy deems the pattern
-  /// complete, scans the projection, and finalizes the children into `nc`.
-  /// Returns false when the node produced no children to walk (guard stop,
-  /// emit-time stop, or the max_items cutoff) — `nc` is untouched then and
-  /// needs no ReleaseNode.
-  bool ExpandNode(WorkerCtx& w, const NodeProjection& proj,
-                  const std::vector<uint8_t>& allowed, uint32_t depth,
-                  NodeChildren* nc) {
+  /// complete, scans the projection, and finalizes the children into the
+  /// context's NodeChildren for `depth`, which it returns live. Returns null
+  /// when the node produced no children to walk (guard stop, emit-time stop,
+  /// or the max_items cutoff); nothing needs a ReleaseNode then.
+  NodeChildren* ExpandNode(WorkerCtx& w, const NodeProjection& proj,
+                           const std::vector<uint8_t>& allowed,
+                           uint32_t depth) {
     // Arena-lifetime contract: the projection's depth arena must not have
     // rewound since Finalize (docs/ARCHITECTURE.md). A violation here means
-    // a frame was released while its subtree (or a stolen sub-unit of it)
-    // was still live — exactly the bug class the scheduler could introduce.
+    // a node's children were released while its subtree (or a stolen
+    // sub-unit of it) was still live — exactly the bug class the scheduler
+    // could introduce.
     proj.CheckAlive();
-    if (WorkerShouldStop(w)) return false;
+    if (WorkerShouldStop(w)) return nullptr;
     ++w.nodes;
     TickProgress(w);
     w.om.node_depth->Observe(w.policy->PatternLen());
@@ -516,11 +534,11 @@ class GrowthEngine {
     // Report the pattern at this node when the policy deems it complete.
     if (w.policy->CanEmit()) {
       EmitPattern(w, static_cast<SupportCount>(proj.num_spans));
-      if (w.guard->stopped()) return false;
+      if (w.guard->stopped()) return nullptr;
     }
     if (options_.max_items > 0 &&
         w.policy->PatternLen() >= options_.max_items) {
-      return false;
+      return nullptr;
     }
 
     GrowthScanCtx ctx;
@@ -528,61 +546,31 @@ class GrowthEngine {
                       w.policy->NumBlocks() < options_.max_length ||
                       w.policy->PatternLen() == 0;
 
-    ExpandFrame& frame = nc->frame;
-    if (postfix_pruning_) frame.postfix_count.assign(num_symbols_, 0);
-
-    auto bucket_for = [&](uint32_t code, bool i_ext) -> Bucket* {
-      const uint64_t key =
-          (static_cast<uint64_t>(code) << 1) | (i_ext ? 1 : 0);
-      auto it = frame.bucket_index.find(key);
-      if (it != frame.bucket_index.end()) {
-        return it->second < 0 ? nullptr : &frame.buckets[it->second];
-      }
-      ++w.cands;
-      // Admission checks for extensions introducing a new symbol.
-      if (Policy::IntroducesSymbol(code)) {
-        const EventId ev = Policy::SymbolOf(code);
-        if ((postfix_pruning_ || pair_pruning_) && !allowed[ev]) {
-          // The allowed set is narrowed by postfix counting when postfix
-          // pruning runs; otherwise it is the pair table's frequent-symbol
-          // filter — attribute the rejection accordingly.
-          (postfix_pruning_ ? w.om.postfix_hits : w.om.pair_hits)
-              ->Increment();
-          frame.bucket_index.emplace(key, -1);
-          return nullptr;
-        }
-        if (pair_pruning_ && !w.policy->InPattern(ev)) {
-          for (EventId a : w.policy->PatternSymbols()) {
-            if (!cooc_.IsFrequentPair(a, ev)) {
-              w.om.pair_hits->Increment();
-              frame.bucket_index.emplace(key, -1);
-              return nullptr;
-            }
-          }
-        }
-      }
-      frame.bucket_index.emplace(
-          key, static_cast<int32_t>(frame.buckets.size()));
-      frame.buckets.emplace_back();
-      Bucket& b = frame.buckets.back();
-      b.code = code;
-      b.i_ext = i_ext;
-      b.builder.Init(w.policy->ChildStride(code, i_ext), w.arenas, depth + 1);
-      return &b;
-    };
+    // Same-depth storage contract: a node at this depth on this context is
+    // still walking (or lending to thieves) the children it finalized here.
+    NodeChildren& nc = w.ChildrenAt(depth);
+    TPM_DCHECK(!nc.live);
+    nc.live = true;
+    nc.buckets.clear();
+    nc.copies_bytes = 0;
+    if (postfix_pruning_) w.postfix_count.assign(num_symbols_, 0);
+    uint32_t cur_seq = 0;
 
     auto try_push = [&](uint32_t code, bool i_ext, uint32_t item,
                         uint32_t anchor) -> uint32_t* {
-      Bucket* b = bucket_for(code, i_ext);
-      if (b == nullptr) return nullptr;
+      const uint32_t key = (code << 1) | (i_ext ? 1u : 0u);
+      TPM_DCHECK(key < w.key_slot.size());
+      int32_t slot = w.key_slot[key];
+      if (slot == kUnseenKey) slot = AdmitKey(w, &nc, allowed, depth, key);
+      if (slot < 0) return nullptr;
       ++w.states;
-      return b->builder.Push(frame.cur_seq, item, anchor);
+      return nc.buckets[slot].builder.Push(cur_seq, item, anchor);
     };
 
     // ---- Candidate scan ------------------------------------------------
     for (uint32_t si = 0; si < proj.num_spans; ++si) {
       const SeqSpan& sp = proj.spans[si];
-      frame.cur_seq = sp.seq;
+      cur_seq = sp.seq;
       const uint32_t nitems = w.policy->NumItems(sp.seq);
 
       uint32_t min_item = ~0u;
@@ -601,21 +589,21 @@ class GrowthEngine {
         for (uint32_t p = min_item; p < nitems; ++p) {
           copy.emplace_back(p, w.policy->ItemCode(sp.seq, p));
         }
-        frame.copies_bytes += copy.capacity() * sizeof(copy[0]);
+        nc.copies_bytes += copy.capacity() * sizeof(copy[0]);
       }
       auto item_at = [&](uint32_t p) -> uint32_t {
         if (config_.physical_projection) return copy[p - min_item].second;
-        return w.policy->ItemCode(frame.cur_seq, p);
+        return w.policy->ItemCode(cur_seq, p);
       };
 
       // Postfix symbol counting for the children's allowed set.
       if (postfix_pruning_) {
-        ++(*w.epoch);
+        const uint64_t epoch = ++w.epoch;
         for (uint32_t p = min_item; p < nitems; ++p) {
           const EventId ev = Policy::SymbolOf(item_at(p));
-          if ((*w.seen_epoch)[ev] != *w.epoch) {
-            (*w.seen_epoch)[ev] = *w.epoch;
-            ++frame.postfix_count[ev];
+          if (w.seen_epoch[ev] != epoch) {
+            w.seen_epoch[ev] = epoch;
+            ++w.postfix_count[ev];
           }
         }
       }
@@ -627,34 +615,42 @@ class GrowthEngine {
       }
     }
 
+    // The key table is all-unseen again for the next node on this context.
+    for (uint32_t key : w.touched) w.key_slot[key] = kUnseenKey;
+    w.touched.clear();
+
     // Flush this node's scan tallies before recursion resets them.
     w.om.states->Increment(w.states - node_states_before);
     w.om.candidates->Increment(w.cands - node_cands_before);
     w.policy->FlushNodeMetrics(w.om);
 
     // ---- Children ------------------------------------------------------
-    nc->child_allowed = allowed;
+    nc.child_allowed = allowed;
     if (postfix_pruning_) {
       for (EventId e = 0; e < num_symbols_; ++e) {
-        if (frame.postfix_count[e] < minsup_) nc->child_allowed[e] = 0;
+        if (w.postfix_count[e] < minsup_) nc.child_allowed[e] = 0;
       }
     }
 
     // Projection storage is charged by the arenas themselves as blocks map;
     // only the baselines' postfix copies need an explicit charge.
-    w.tracker->Allocate(frame.copies_bytes);
+    w.tracker->Allocate(nc.copies_bytes);
 
-    // Deterministic child order.
-    std::sort(frame.buckets.begin(), frame.buckets.end(),
-              [](const Bucket& a, const Bucket& b) {
+    // Deterministic child order, sorted as bucket indices.
+    nc.order.resize(nc.buckets.size());
+    for (uint32_t i = 0; i < nc.order.size(); ++i) nc.order[i] = i;
+    std::sort(nc.order.begin(), nc.order.end(),
+              [&nc](uint32_t x, uint32_t y) {
+                const Bucket& a = nc.buckets[x];
+                const Bucket& b = nc.buckets[y];
                 if (a.i_ext != b.i_ext) return a.i_ext > b.i_ext;
                 return a.code < b.code;
               });
 
     Arena& child_arena = w.arenas->depth(depth + 1);
-    nc->child_mark = child_arena.mark();
-    for (Bucket& b : frame.buckets) {
-      const NodeProjection& view = b.builder.Finalize(
+    nc.child_mark = child_arena.mark();
+    for (uint32_t i : nc.order) {
+      const NodeProjection& view = nc.buckets[i].builder.Finalize(
           [&w](const ProjectionBuilder::SpanView& v,
                std::vector<uint32_t>* keep) {
             w.policy->SelectSpan(v, keep);
@@ -665,30 +661,73 @@ class GrowthEngine {
     // nothing else is staged: the staging arena can rewind to empty.
     w.arenas->staging().Reset();
     w.om.arena_depth_bytes->Observe(child_arena.used_bytes());
-    nc->entered = true;
-    return true;
+    return &nc;
+  }
+
+  /// First sight of `key` in the scan of a node at `depth`: counts the
+  /// candidate, runs the admission checks for an extension that introduces
+  /// a new symbol, and records the decision in the key table, so every
+  /// later push of the key is one load.
+  int32_t AdmitKey(WorkerCtx& w, NodeChildren* nc,
+                   const std::vector<uint8_t>& allowed, uint32_t depth,
+                   uint32_t key) {
+    const uint32_t code = key >> 1;
+    const bool i_ext = (key & 1) != 0;
+    ++w.cands;
+    w.touched.push_back(key);
+    int32_t slot = static_cast<int32_t>(nc->buckets.size());
+    if (Policy::IntroducesSymbol(code)) {
+      const EventId ev = Policy::SymbolOf(code);
+      if ((postfix_pruning_ || pair_pruning_) && !allowed[ev]) {
+        // The allowed set is narrowed by postfix counting when postfix
+        // pruning runs; otherwise it is the pair table's frequent-symbol
+        // filter — attribute the rejection accordingly.
+        (postfix_pruning_ ? w.om.postfix_hits : w.om.pair_hits)->Increment();
+        slot = kRejectedKey;
+      } else if (pair_pruning_ && !w.policy->InPattern(ev)) {
+        for (EventId a : w.policy->PatternSymbols()) {
+          if (!cooc_.IsFrequentPair(a, ev)) {
+            w.om.pair_hits->Increment();
+            slot = kRejectedKey;
+            break;
+          }
+        }
+      }
+    }
+    if (slot != kRejectedKey) {
+      nc->buckets.emplace_back();
+      Bucket& b = nc->buckets.back();
+      b.code = code;
+      b.i_ext = i_ext;
+      b.builder.Init(w.policy->ChildStride(code, i_ext), w.arenas, depth + 1);
+    }
+    w.key_slot[key] = slot;
+    return slot;
   }
 
   void ReleaseNode(WorkerCtx& w, NodeChildren* nc, uint32_t depth) {
-    w.tracker->Release(nc->frame.copies_bytes);
+    TPM_DCHECK(nc->live);
+    w.tracker->Release(nc->copies_bytes);
     w.arenas->depth(depth + 1).Rewind(nc->child_mark);
+    nc->live = false;
   }
 
   /// The recursion driver below the unit roots: expand, walk the frequent
   /// children depth-first, release.
   void ExpandSubtree(WorkerCtx& w, const NodeProjection& proj,
                      const std::vector<uint8_t>& allowed, uint32_t depth) {
-    NodeChildren nc;
-    if (!ExpandNode(w, proj, allowed, depth, &nc)) return;
-    for (Bucket& b : nc.frame.buckets) {
+    NodeChildren* nc = ExpandNode(w, proj, allowed, depth);
+    if (nc == nullptr) return;
+    for (uint32_t i : nc->order) {
       if (w.guard->stopped()) break;
+      const Bucket& b = nc->buckets[i];
       const NodeProjection& view = b.builder.view();
       if (view.num_spans < minsup_) continue;
       w.policy->Apply(b.code, b.i_ext);
-      ExpandSubtree(w, view, nc.child_allowed, depth + 1);
+      ExpandSubtree(w, view, nc->child_allowed, depth + 1);
       w.policy->Undo(b.code, b.i_ext);
     }
-    ReleaseNode(w, &nc, depth);
+    ReleaseNode(w, nc, depth);
   }
 
   void EmitPattern(WorkerCtx& w, SupportCount support) {
@@ -720,18 +759,20 @@ class GrowthEngine {
 
   /// Freezes the root's bucket walk into the deterministic unit table and
   /// transfers resumed unit banks onto their units.
-  void BuildUnits(NodeChildren* root_nc) {
-    std::unordered_map<uint64_t, size_t> by_key;
-    units_.reserve(root_nc->frame.buckets.size());
-    for (Bucket& b : root_nc->frame.buckets) {
+  void BuildUnits(const NodeChildren& root_nc) {
+    std::vector<std::pair<uint64_t, size_t>> by_key;  // sorted: resume lookup
+    units_.reserve(root_nc.order.size());
+    for (uint32_t i : root_nc.order) {
+      const Bucket& b = root_nc.buckets[i];
       UnitInfo u;
       u.code = b.code;
       u.i_ext = b.i_ext;
       u.key = (static_cast<uint64_t>(b.code) << 1) | (b.i_ext ? 1 : 0);
       u.view = &b.builder.view();
-      by_key.emplace(u.key, units_.size());
+      by_key.emplace_back(u.key, units_.size());
       units_.push_back(u);
     }
+    std::sort(by_key.begin(), by_key.end());
     outcomes_.resize(units_.size());
     if (options_.steal) {
       std::vector<WorkUnit> wu(units_.size());
@@ -753,8 +794,9 @@ class GrowthEngine {
     // still carried through result assembly and checkpoint writes.
     std::vector<ResumeUnit> leftovers;
     for (ResumeUnit& r : orphan_units_) {
-      auto it = by_key.find(r.key);
-      if (it == by_key.end()) {
+      auto it = std::lower_bound(by_key.begin(), by_key.end(),
+                                 std::make_pair(r.key, size_t{0}));
+      if (it == by_key.end() || it->first != r.key) {
         leftovers.push_back(std::move(r));
         continue;
       }
@@ -931,15 +973,15 @@ class GrowthEngine {
     const ItemBinding saved = BindItem(w, &domain, &bank);
     domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
     w.policy->Apply(u.code, u.i_ext);
-    NodeChildren nc;
-    const bool entered =
-        ExpandNode(w, *u.view, *root_child_allowed_, /*depth=*/1, &nc);
+    NodeChildren* nc =
+        ExpandNode(w, *u.view, *root_child_allowed_, /*depth=*/1);
     std::deque<SubUnit> subs;  // stable addresses: published by pointer
     SplitState split;
-    if (entered) {
+    if (nc != nullptr) {
       std::vector<void*> published;
       uint32_t ord = 0;
-      for (Bucket& b : nc.frame.buckets) {
+      for (uint32_t i : nc->order) {
+        const Bucket& b = nc->buckets[i];
         const NodeProjection& view = b.builder.view();
         if (view.num_spans < minsup_) continue;
         subs.emplace_back();
@@ -947,7 +989,7 @@ class GrowthEngine {
         s.unit_id = unit_id;
         s.ord = ord++;
         s.view = &view;
-        s.allowed = &nc.child_allowed;
+        s.allowed = &nc->child_allowed;
         s.path.push_back({u.code, u.i_ext});
         s.path.push_back({b.code, b.i_ext});
         s.split = &split;
@@ -972,7 +1014,7 @@ class GrowthEngine {
         std::this_thread::sleep_for(std::chrono::microseconds(20));
       }
     }
-    if (entered) ReleaseNode(w, &nc, /*depth=*/1);
+    if (nc != nullptr) ReleaseNode(w, nc, /*depth=*/1);
     bool complete = !w.guard->stopped();
     std::vector<obs::DomainSnapshot> parts;
     for (SubUnit& s : subs) {
@@ -1301,11 +1343,6 @@ class GrowthEngine {
   Policy policy_;
   CooccurrenceTable cooc_;
   size_t num_symbols_ = 0;
-
-  // Scratch for per-sequence symbol dedup (postfix counting) — the root
-  // context's copy; workers own theirs.
-  std::vector<uint32_t> seen_epoch_;
-  uint32_t epoch_ = 0;
 
   // Observability domain the run charges: caller-provided (`tpm mine`) or a
   // private throwaway. Declared before guard_ so the on_stop hook may touch

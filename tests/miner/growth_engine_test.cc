@@ -1,0 +1,270 @@
+// Child-key table coverage for GrowthEngine::ExpandNode.
+//
+// A node's candidate extensions are keyed (code << 1) | i_ext in a dense
+// per-context table of 4·|alphabet| slots, reset after every scan. These
+// databases put the edges of that key space under load: the highest symbol
+// id is frequent (so the largest endpoint key — its finish as an
+// i-extension, 4·|alphabet| - 1 — is admitted and pushed), dictionary
+// symbols in between never occur, and one case has a one-symbol alphabet.
+// Each case must mine the same sorted set as the unpruned physical
+// baselines, the same stream and merged metrics at every thread count, and
+// emit in the deterministic child order (i_ext desc, code asc per node).
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "miner/coincidence_growth.h"
+#include "miner/endpoint_growth.h"
+#include "obs/stats_domain.h"
+#include "testing/test_util.h"
+#include "util/rng.h"
+
+namespace tpm {
+namespace {
+
+using testing::ComparableMetricsJson;
+using testing::Render;
+
+struct DbCase {
+  const char* name;
+  uint32_t alphabet;          ///< dictionary size |alphabet|
+  std::vector<EventId> used;  ///< symbols that occur; the last is the top id
+};
+
+std::vector<DbCase> Cases() {
+  return {
+      // Symbols 1, 2, 5, 6 and 7 are in the dictionary but never occur.
+      {"sparse", 9, {0, 3, 4, 8}},
+      {"one_symbol", 1, {0}},
+      {"dense", 4, {0, 1, 2, 3}},
+  };
+}
+
+// Every sequence holds a few random intervals over `used`; most also hold
+// the top symbol, finishing together with the lowest used symbol so the top
+// finish follows it in a shared slice as an i-extension. With one symbol,
+// the top interval is a point event instead: its start and finish share a
+// slice.
+IntervalDatabase MakeDb(const DbCase& c, uint64_t seed) {
+  IntervalDatabase db;
+  for (uint32_t i = 0; i < c.alphabet; ++i) {
+    db.dict().Intern(std::string(1, static_cast<char>('A' + i)));
+  }
+  const EventId top = c.used.back();
+  Rng rng(seed);
+  for (uint32_t s = 0; s < 30; ++s) {
+    EventSequence seq;
+    const uint32_t n = 1 + rng.Poisson(3.0);
+    for (uint32_t k = 0; k < n; ++k) {
+      const EventId e = c.used[rng.Uniform(c.used.size())];
+      const TimeT b = static_cast<TimeT>(rng.Uniform(60));
+      seq.Add(e, b, b + static_cast<TimeT>(rng.Uniform(30)));
+    }
+    if (rng.Bernoulli(0.8)) {
+      const TimeT finish = static_cast<TimeT>(30 + rng.Uniform(60));
+      if (c.used[0] == top) {
+        seq.Add(top, finish, finish);
+      } else {
+        seq.Add(top, finish - static_cast<TimeT>(1 + rng.Uniform(20)),
+                finish);
+        seq.Add(c.used[0], finish - static_cast<TimeT>(1 + rng.Uniform(20)),
+                finish);
+      }
+    }
+    seq.MergeSameSymbolConflicts();
+    db.AddSequence(std::move(seq));
+  }
+  return db;
+}
+
+MinerOptions Options(uint32_t pruning_mask, TimeT window) {
+  MinerOptions options;
+  options.min_support = 0.2;
+  options.max_window = window;
+  options.pair_pruning = (pruning_mask & 1) != 0;
+  options.postfix_pruning = (pruning_mask & 2) != 0;
+  options.validity_pruning = (pruning_mask & 4) != 0;
+  return options;
+}
+
+template <typename PatternT>
+std::string EmissionOrderRender(const MiningResult<PatternT>& result,
+                                const Dictionary& dict) {
+  std::string out;
+  for (const auto& mp : result.patterns) {
+    out += mp.pattern.ToString(dict) + "@" + std::to_string(mp.support) + "\n";
+  }
+  return out;
+}
+
+// The (code, i_ext) extension steps that grow a pattern from the root: the
+// first item of each slice/coincidence is an s-extension, the rest are
+// i-extensions.
+using Step = std::pair<uint32_t, bool>;
+
+template <typename PatternT>
+std::vector<Step> Steps(const PatternT& p) {
+  std::vector<Step> steps;
+  size_t block = 0;
+  for (uint32_t k = 0; k < p.items().size(); ++k) {
+    bool starts_block = false;
+    while (block < p.offsets().size() && p.offsets()[block] == k) {
+      starts_block = true;
+      ++block;
+    }
+    steps.emplace_back(p.items()[k], !starts_block);
+  }
+  return steps;
+}
+
+// Child order at one node: i-extensions first, then ascending code.
+bool StepBefore(const Step& a, const Step& b) {
+  if (a.second != b.second) return a.second;
+  return a.first < b.first;
+}
+
+// Emission is a depth-first preorder over the children in child order, so
+// consecutive patterns' step sequences must be strictly increasing: a prefix
+// first, else ordered at the first step where they diverge.
+template <typename PatternT>
+void ExpectChildOrder(const MiningResult<PatternT>& result,
+                      const std::string& label) {
+  for (size_t i = 1; i < result.patterns.size(); ++i) {
+    const std::vector<Step> a = Steps(result.patterns[i - 1].pattern);
+    const std::vector<Step> b = Steps(result.patterns[i].pattern);
+    size_t j = 0;
+    while (j < a.size() && j < b.size() && a[j] == b[j]) ++j;
+    const bool ordered = j == a.size()
+                             ? b.size() > a.size()
+                             : j < b.size() && StepBefore(a[j], b[j]);
+    EXPECT_TRUE(ordered) << label << ": emission " << i - 1 << " then " << i;
+  }
+}
+
+TEST(GrowthEngineKeyTableTest, PseudoMinersMatchPhysicalBaselines) {
+  EndpointGrowthConfig tprefixspan;
+  tprefixspan.physical_projection = true;
+  tprefixspan.force_disable_prunings = true;
+  CoincidenceGrowthConfig ctminer;
+  ctminer.physical_projection = true;
+  ctminer.force_disable_prunings = true;
+  for (const DbCase& c : Cases()) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      const IntervalDatabase db = MakeDb(c, seed);
+      for (TimeT window : {TimeT{0}, TimeT{40}}) {
+        auto ep_base = MineEndpointGrowth(db, Options(0, window), tprefixspan);
+        auto co_base = MineCoincidenceGrowth(db, Options(0, window), ctminer);
+        ASSERT_TRUE(ep_base.ok()) << ep_base.status();
+        ASSERT_TRUE(co_base.ok()) << co_base.status();
+        ASSERT_FALSE(ep_base->patterns.empty()) << c.name;
+        const auto ep_want = Render(*ep_base, db.dict());
+        const auto co_want = Render(*co_base, db.dict());
+        for (uint32_t mask = 0; mask < 8; ++mask) {
+          const std::string label = std::string(c.name) + " seed " +
+                                    std::to_string(seed) + " window " +
+                                    std::to_string(window) + " mask " +
+                                    std::to_string(mask);
+          auto ep = MineEndpointGrowth(db, Options(mask, window),
+                                       EndpointGrowthConfig{});
+          ASSERT_TRUE(ep.ok()) << ep.status();
+          EXPECT_EQ(Render(*ep, db.dict()), ep_want) << label;
+          if (mask >= 4) continue;  // coincidence ignores validity pruning
+          auto co = MineCoincidenceGrowth(db, Options(mask, window),
+                                          CoincidenceGrowthConfig{});
+          ASSERT_TRUE(co.ok()) << co.status();
+          EXPECT_EQ(Render(*co, db.dict()), co_want) << label;
+        }
+      }
+    }
+  }
+}
+
+// The largest key the table holds, 4·|alphabet| - 1, is the top symbol's
+// finish as an i-extension; the databases must actually admit it.
+TEST(GrowthEngineKeyTableTest, LargestKeyIsMined) {
+  for (const DbCase& c : Cases()) {
+    const IntervalDatabase db = MakeDb(c, 1);
+    const uint32_t top_finish = MakeFinish(c.alphabet - 1);
+    ASSERT_EQ(((top_finish << 1) | 1u) + 1, 4 * c.alphabet);
+    auto ep = MineEndpointGrowth(db, Options(7, 0), EndpointGrowthConfig{});
+    ASSERT_TRUE(ep.ok()) << ep.status();
+    bool found = false;
+    for (const auto& mp : ep->patterns) {
+      for (const Step& s : Steps(mp.pattern)) {
+        found = found || (s.first == top_finish && s.second);
+      }
+    }
+    EXPECT_TRUE(found) << c.name;
+  }
+}
+
+TEST(GrowthEngineKeyTableTest, ThreadCountsAgree) {
+  struct Run {
+    uint32_t threads;
+    bool steal;
+  };
+  for (const DbCase& c : Cases()) {
+    const IntervalDatabase db = MakeDb(c, 1);
+    for (TimeT window : {TimeT{0}, TimeT{40}}) {
+      for (uint32_t mask : {0u, 3u, 7u}) {
+        std::string ep_want, ep_metrics, co_want, co_metrics;
+        for (const Run& run : {Run{1, false}, Run{4, false}, Run{4, true}}) {
+          const std::string label =
+              std::string(c.name) + " window " + std::to_string(window) +
+              " mask " + std::to_string(mask) + " threads " +
+              std::to_string(run.threads) + " steal " +
+              std::to_string(run.steal);
+          MinerOptions options = Options(mask, window);
+          options.threads = run.threads;
+          options.steal = run.steal;
+          obs::StatsDomain ep_domain("ep");
+          options.stats_domain = &ep_domain;
+          auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+          ASSERT_TRUE(ep.ok()) << ep.status();
+          obs::StatsDomain co_domain("co");
+          options.stats_domain = &co_domain;
+          auto co =
+              MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+          ASSERT_TRUE(co.ok()) << co.status();
+          if (run.threads == 1) {
+            ep_want = EmissionOrderRender(*ep, db.dict());
+            ep_metrics = ComparableMetricsJson(ep->stats.metrics);
+            co_want = EmissionOrderRender(*co, db.dict());
+            co_metrics = ComparableMetricsJson(co->stats.metrics);
+            continue;
+          }
+          EXPECT_EQ(EmissionOrderRender(*ep, db.dict()), ep_want) << label;
+          EXPECT_EQ(ComparableMetricsJson(ep->stats.metrics), ep_metrics)
+              << label;
+          EXPECT_EQ(EmissionOrderRender(*co, db.dict()), co_want) << label;
+          EXPECT_EQ(ComparableMetricsJson(co->stats.metrics), co_metrics)
+              << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(GrowthEngineKeyTableTest, EmissionFollowsChildKeyOrder) {
+  for (const DbCase& c : Cases()) {
+    const IntervalDatabase db = MakeDb(c, 2);
+    for (uint32_t threads : {1u, 4u}) {
+      MinerOptions options = Options(7, 0);
+      options.threads = threads;
+      options.steal = threads > 1;
+      auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+      auto co = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+      ASSERT_TRUE(ep.ok()) << ep.status();
+      ASSERT_TRUE(co.ok()) << co.status();
+      ExpectChildOrder(*ep, std::string(c.name) + " endpoint");
+      ExpectChildOrder(*co, std::string(c.name) + " coincidence");
+    }
+  }
+}
+
+}  // namespace
+}  // namespace tpm
