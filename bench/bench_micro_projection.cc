@@ -194,13 +194,15 @@ int main() {
     }
   }
 
-  // 5. Parallel scaling: the endpoint mine at 1/2/4/8 workers (scheduler /
-  //    worker / merger split, docs/ARCHITECTURE.md). Output is byte-identical
-  //    across rows by construction — the interesting number is the wall-clock
-  //    column. The substrate gets a scale floor so the single-thread run is
-  //    long enough (~100ms) to measure scheduling against even under CI's
-  //    reduced TPM_BENCH_SCALE; CI asserts the 8-thread row at <=0.5x the
-  //    single-thread row from BENCH_micro.json when the host has the cores.
+  // 5. Parallel scaling: the endpoint mine at 1/2/4/8 workers and the
+  //    coincidence mine at 1/2/4 (scheduler / worker / merger split with
+  //    heavy-subtree splitting, docs/ARCHITECTURE.md). Output is
+  //    byte-identical across rows by construction — the interesting number
+  //    is the wall-clock column. The substrate gets a scale floor so the
+  //    single-thread run is long enough (~100ms) to measure scheduling
+  //    against even under CI's reduced TPM_BENCH_SCALE; CI asserts the
+  //    endpoint 8-thread row at <=0.5x the single-thread row from
+  //    BENCH_micro.json when the host has the cores.
   const size_t threads_base = cells.size();
   QuestConfig par_config = config;
   par_config.num_sequences =
@@ -210,12 +212,23 @@ int main() {
   MinerOptions par_options;
   par_options.min_support = 0.005;
   par_options.time_budget_seconds = kBudget;
-  par_options.steal = true;
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     par_options.threads = threads;
     auto run = MineEndpointGrowth(*par_db, par_options, EndpointGrowthConfig{});
     TPM_CHECK_OK(run.status());
     cells.push_back(CellFrom("P-TPMiner/E", "threads-" + std::to_string(threads),
+                             run->stats, run->patterns.size()));
+  }
+  // P-TPMiner/C at minsup 1%, where one heavy unit holds most of the search
+  // and only splitting spreads it over the workers.
+  const size_t coinc_base = cells.size();
+  par_options.min_support = 0.01;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    par_options.threads = threads;
+    auto run =
+        MineCoincidenceGrowth(*par_db, par_options, CoincidenceGrowthConfig{});
+    TPM_CHECK_OK(run.status());
+    cells.push_back(CellFrom("P-TPMiner/C", "threads-" + std::to_string(threads),
                              run->stats, run->patterns.size()));
   }
 
@@ -227,10 +240,11 @@ int main() {
         static_cast<unsigned long long>(tracker.snapshots_emitted()));
   }
   for (size_t i = threads_base + 1; i < cells.size(); ++i) {
-    if (cells[i].seconds > 0.0) {
-      std::printf("ratio: e2e endpoint %s speedup=%.2fx vs threads-1\n",
-                  cells[i].config.c_str(),
-                  cells[threads_base].seconds / cells[i].seconds);
+    const size_t base = i < coinc_base ? threads_base : coinc_base;
+    if (i != base && cells[i].seconds > 0.0) {
+      std::printf("ratio: e2e %s %s speedup=%.2fx vs threads-1\n",
+                  i < coinc_base ? "endpoint" : "coincidence",
+                  cells[i].config.c_str(), cells[base].seconds / cells[i].seconds);
     }
   }
   WriteJsonRecords("micro", cells);

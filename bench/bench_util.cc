@@ -81,12 +81,18 @@ std::string JsonQuote(const std::string& s) {
   return out;
 }
 
+// Every cell runs under this logical memory budget, so a configuration
+// whose search explodes ends as a `memory` DNF cell instead of exhausting
+// the host. It sits far above any cell that finishes at scale 1.
+constexpr size_t kCellMemoryBudgetBytes = size_t{512} << 20;
+
 }  // namespace
 
 Cell RunEndpoint(EndpointMiner* miner, const IntervalDatabase& db,
                  MinerOptions options, const std::string& config,
                  double budget_seconds) {
   options.time_budget_seconds = budget_seconds;
+  options.memory_budget_bytes = kCellMemoryBudgetBytes;
   auto result = miner->Mine(db, options);
   if (!result.ok()) {
     std::fprintf(stderr, "bench: %s failed: %s\n", miner->name().c_str(),
@@ -105,6 +111,7 @@ Cell RunCoincidence(CoincidenceMiner* miner, const IntervalDatabase& db,
                     MinerOptions options, const std::string& config,
                     double budget_seconds) {
   options.time_budget_seconds = budget_seconds;
+  options.memory_budget_bytes = kCellMemoryBudgetBytes;
   auto result = miner->Mine(db, options);
   if (!result.ok()) {
     std::fprintf(stderr, "bench: %s failed: %s\n", miner->name().c_str(),

@@ -126,6 +126,23 @@ void RenderSnapshot(const JsonValue& snap, std::string* out) {
     }
   }
 
+  // --- Work items -----------------------------------------------------------
+  // A work item is a unit or sub-unit one worker mines in one piece, so the
+  // largest item's share of the nodes bounds the speedup of any thread count.
+  const uint64_t largest_item = MetricValue(gauges, "miner.item.max_nodes");
+  const JsonValue* items_hist = FindMetric(histograms, "miner.item.nodes");
+  if (largest_item > 0 && nodes > 0) {
+    const double share =
+        static_cast<double>(largest_item) / static_cast<double>(nodes);
+    *out += StringPrintf(
+        "work items: %llu; largest work item = %.1f%% of nodes (%llu of %llu) "
+        "\u21d2 speedup bound \u2248 %.1fx\n",
+        static_cast<unsigned long long>(
+            items_hist != nullptr ? MetricValue(items_hist, "count") : 0),
+        100.0 * share, static_cast<unsigned long long>(largest_item),
+        static_cast<unsigned long long>(nodes), 1.0 / share);
+  }
+
   // --- Per-worker scheduling breakdown ------------------------------------
   // The parallel miner's attribution histograms use the worker id as the
   // observed value (LinearBounds(0,1,..)), so bucket i is worker i. Present

@@ -28,19 +28,21 @@
 //              deterministic child order; miner/scheduler.h freezes that
 //              order into work units whose id IS the bucket index, so a
 //              unit means the same subtree for every thread count and every
-//              checkpoint ever written. --steal additionally publishes a
-//              heavyweight unit's level-2 children as stealable sub-units
-//              (the split decision depends only on projection sizes, never
-//              on the thread count).
+//              checkpoint ever written. A heavyweight unit (a decision on
+//              projection sizes only) is split: its root's frequent
+//              children become sub-units, and so do theirs, down to
+//              kMaxSplitDepth, so the work-item set never depends on the
+//              thread count.
 //
 //   workers    Each worker owns a full WorkerCtx: a copy of the built
 //              policy (cheap — the language representation is shared via
 //              shared_ptr), its own MemoryTracker, ProjectionArenas,
 //              ExecutionGuard, child-key table, per-depth child storage and
-//              postfix-count scratch. Every work item is mined against a
-//              private per-unit StatsDomain, so nothing mutable is shared
-//              between workers on the hot path. With --threads=1 the same
-//              loop runs inline on the calling thread.
+//              postfix-count scratch. Every unit is mined against its own
+//              StatsDomain; the sub-units of a split unit charge it from
+//              whichever worker runs them, through the registry's lock-free
+//              sharded cells. With --threads=1 the same loop runs inline on
+//              the calling thread.
 //
 //   merger     Workers deliver finished units (pattern bank + metrics
 //              delta) through a single mutex-guarded inbox; the calling
@@ -76,6 +78,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -209,9 +212,8 @@ class GrowthEngine {
     root_ctx.arenas = &arenas_;
     root_ctx.guard = &guard_;
     root_ctx.InitScratch(num_symbols_);
-    root_ctx.domain = domain_;
     root_ctx.om = om_;
-    std::vector<MinedPattern<PatternT>> root_bank;
+    Bank root_bank;
     root_ctx.bank = &root_bank;
     root_ctx.inline_progress = true;
 
@@ -297,6 +299,8 @@ class GrowthEngine {
   // merged counters, and the run domain keeps the run-scoped milestones.
   static constexpr size_t kUnitFlightCapacity = 32;
 
+  using Bank = std::vector<MinedPattern<PatternT>>;
+
   // One candidate extension's child projection under construction.
   struct Bucket {
     uint32_t code = 0;
@@ -312,7 +316,7 @@ class GrowthEngine {
   // node it expands at that depth reuses it, so the vectors keep their
   // capacity. It is live from ExpandNode to ReleaseNode: the views and
   // `child_allowed` that the subtree walk, the root's unit table
-  // (UnitInfo::view) or a split unit's thieves (SubUnit::view) read stay
+  // (UnitInfo::view) or a split node's sub-units (Item::view) read stay
   // valid exactly that long. ReleaseNode undoes the postfix-copy charge and
   // rewinds the child-depth arena.
   struct NodeChildren {
@@ -353,10 +357,8 @@ class GrowthEngine {
     std::deque<NodeChildren> children;  ///< by depth; deque: stable addresses
 
     // Current work-item bindings (swapped per unit / sub-unit).
-    obs::StatsDomain* domain = nullptr;
     MinerMetrics om{};
-    std::vector<MinedPattern<PatternT>>* bank = nullptr;
-    uint64_t item_patterns = 0;  ///< emissions within the current item
+    Bank* bank = nullptr;
 
     // Cumulative counters, folded into MiningStats after the join.
     uint64_t nodes = 0;
@@ -429,7 +431,7 @@ class GrowthEngine {
     bool delivered = false;  ///< a worker finished (possibly truncated)
     bool complete = false;   ///< subtree fully mined — checkpointable
     bool from_resume = false;
-    std::vector<MinedPattern<PatternT>> bank;
+    Bank bank;
     obs::MetricsSnapshot delta;  ///< empty for resumed units (in the prior)
   };
 
@@ -438,14 +440,14 @@ class GrowthEngine {
   // stops before the root scan rebuilds the bucket set.
   struct ResumeUnit {
     uint64_t key = 0;
-    std::vector<MinedPattern<PatternT>> bank;
+    Bank bank;
   };
 
   // What a worker hands the merger for one finished unit.
   struct UnitDelivery {
     uint64_t unit_id = 0;
     bool complete = false;
-    std::vector<MinedPattern<PatternT>> bank;
+    Bank bank;
     obs::MetricsSnapshot delta;
   };
 
@@ -456,28 +458,62 @@ class GrowthEngine {
     std::vector<UnitDelivery> items TPM_GUARDED_BY(mu);
   };
 
-  // Join state for one split unit; `remaining` is the release/acquire
-  // barrier that publishes the thieves' banks back to the owner.
+  // Depth of the deepest sub-unit root. Inside a split unit, every
+  // frequent child of an item rooted above this depth is published as a
+  // sub-unit of its own, whatever its size: below the unit level neither
+  // span nor state counts predict subtree size, so the split is structural
+  // and the item set depends on the data only, never on the thread count.
+  static constexpr uint32_t kMaxSplitDepth = 4;
+
+  // Join state for one split node; `remaining` is the release/acquire
+  // barrier that publishes the sub-units' results back to their parent.
   struct SplitState {
     std::atomic<uint32_t> remaining{0};
   };
 
-  // One stealable level-2 child of a split unit. The view and allowed set
-  // live in the owner's arenas / depth-1 NodeChildren, which the owner keeps
-  // live (and does not rewind) until every sub joined.
-  // `bank`/`delta`/`complete` are written by the thief before its
-  // release-decrement on `remaining` and read by the owner after the
-  // acquire-load observes zero.
-  struct SubUnit {
+  // A unit's metrics domain, shared by every item of the unit: sub-units
+  // may run on other workers and charge the unit's registry directly (its
+  // cells are lock-free sharded atomics, and every fold is a sum). Only the
+  // unit's owner records flight events and takes the snapshot, after every
+  // item has joined.
+  struct UnitDomain {
+    explicit UnitDomain(uint64_t unit_id)
+        : domain(StringPrintf("unit-%llu",
+                              static_cast<unsigned long long>(unit_id)),
+                 kUnitFlightCapacity),
+          om(MinerMetrics::ForRegistry(&domain.registry())),
+          // Work-item sizes: the nodes each item expanded itself (a split
+          // item's root only) and the depth of its root.
+          item_nodes(domain.GetHistogram("miner.item.nodes",
+                                         obs::ExponentialBounds(1, 4.0, 12))),
+          item_depth(
+              domain.GetHistogram("miner.item.depth",
+                                  obs::LinearBounds(1, 1, kMaxSplitDepth))) {}
+    obs::StatsDomain domain;
+    MinerMetrics om;
+    obs::Histogram* item_nodes;
+    obs::Histogram* item_depth;
+  };
+
+  // One work item: a whole unit (root depth 1) or a sub-unit of a split
+  // node. The root's view and allowed set live in the parent's arenas and
+  // NodeChildren (the root context's, for a unit), which stay live until
+  // the item has joined. The outputs are written by whoever mined the item;
+  // for a sub-unit that happens before its release-decrement on `join`, and
+  // the parent reads them after its acquire-load observes zero.
+  struct Item {
     uint64_t unit_id = 0;
-    uint32_t ord = 0;  ///< deterministic child order within the unit
+    UnitDomain* unit = nullptr;
     const NodeProjection* view = nullptr;
     const std::vector<uint8_t>* allowed = nullptr;
-    std::vector<std::pair<uint32_t, bool>> path;  ///< (code, i_ext) replay
-    SplitState* split = nullptr;
+    /// (code, i_ext) replay from the search root; its length is the depth
+    /// of the item's root node.
+    std::vector<std::pair<uint32_t, bool>> path;
+    bool split = false;          ///< publish the root's children as items
+    SplitState* join = nullptr;  ///< the parent's; null for a whole unit
     bool complete = false;
-    std::vector<MinedPattern<PatternT>> bank;
-    obs::MetricsSnapshot delta;
+    Bank bank;
+    uint64_t max_nodes = 0;  ///< the largest item among this one and its subs
   };
 
   // ---- Worker layer ----------------------------------------------------
@@ -516,7 +552,7 @@ class GrowthEngine {
                            uint32_t depth) {
     // Arena-lifetime contract: the projection's depth arena must not have
     // rewound since Finalize (docs/ARCHITECTURE.md). A violation here means
-    // a node's children were released while its subtree (or a stolen
+    // a node's children were released while its subtree (or a published
     // sub-unit of it) was still live — exactly the bug class the scheduler
     // could introduce.
     proj.CheckAlive();
@@ -547,7 +583,8 @@ class GrowthEngine {
                       w.policy->PatternLen() == 0;
 
     // Same-depth storage contract: a node at this depth on this context is
-    // still walking (or lending to thieves) the children it finalized here.
+    // still walking (or waiting on sub-units of) the children it finalized
+    // here.
     NodeChildren& nc = w.ChildrenAt(depth);
     TPM_DCHECK(!nc.live);
     nc.live = true;
@@ -735,13 +772,6 @@ class GrowthEngine {
         MinedPattern<PatternT>{w.policy->MakePattern(), support});
     w.om.patterns->Increment();
     ++w.patterns_emitted;
-    ++w.item_patterns;
-    // Pattern-count watermarks give postmortems a growth curve without
-    // recording every emission. Charged per work item so the curve (and the
-    // merged event count) is identical for every thread count.
-    if ((w.item_patterns & 1023) == 0) {
-      w.domain->RecordEvent("patterns", w.item_patterns, w.nodes);
-    }
     // items + slice offsets (incl. the trailing end offset).
     tracker_charge_pattern(w, w.bank->back());
     const uint64_t total =
@@ -774,20 +804,18 @@ class GrowthEngine {
     }
     std::sort(by_key.begin(), by_key.end());
     outcomes_.resize(units_.size());
-    if (options_.steal) {
-      std::vector<WorkUnit> wu(units_.size());
-      for (size_t i = 0; i < units_.size(); ++i) {
-        wu[i].id = i;
-        wu[i].key = units_[i].key;
-        wu[i].weight = units_[i].view->num_spans;
-      }
-      // Thread-count independent: the split set depends only on the
-      // projection sizes, so the work-item set (and every per-item metrics
-      // domain) is the same for any --threads.
-      MarkSplittableUnits(&wu, minsup_);
-      for (size_t i = 0; i < units_.size(); ++i) {
-        units_[i].splittable = wu[i].splittable;
-      }
+    std::vector<WorkUnit> wu(units_.size());
+    for (size_t i = 0; i < units_.size(); ++i) {
+      wu[i].id = i;
+      wu[i].key = units_[i].key;
+      wu[i].weight = units_[i].view->num_spans;
+    }
+    // Thread-count independent: the split set depends only on the
+    // projection sizes, so the work-item set (and every per-unit metrics
+    // delta) is the same for any --threads.
+    MarkSplittableUnits(&wu, minsup_);
+    for (size_t i = 0; i < units_.size(); ++i) {
+      units_[i].splittable = wu[i].splittable;
     }
     // Attach resumed banks to their units; a key with no bucket (possible
     // only for a tampered-but-CRC-valid checkpoint) stays orphaned and is
@@ -898,7 +926,7 @@ class GrowthEngine {
       } else if (open_items_.load(std::memory_order_acquire) == 0) {
         break;
       } else {
-        // Another worker is splitting a unit (its subs are not published
+        // Another worker is splitting a node (its subs are not published
         // yet) or the tail items are in flight elsewhere.
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
@@ -907,173 +935,149 @@ class GrowthEngine {
 
   void ProcessItem(WorkerCtx& w, const WorkItem& item) {
     if (item.kind == WorkItem::Kind::kUnit) {
-      const UnitInfo& u = units_[item.unit_id];
-      if (options_.steal && u.splittable) {
-        ProcessSplitUnit(w, item.unit_id);
-      } else {
-        ProcessUnit(w, item.unit_id);
-      }
+      MineUnit(w, item.unit_id);
     } else {
-      ProcessSub(w, *static_cast<SubUnit*>(item.sub));
+      Item& sub = *static_cast<Item*>(item.sub);
+      MineItem(w, sub);
+      // Release-decrement publishes the outputs and the sub-unit's metric
+      // charges to the parent's acquire-load in MineItem; `sub` may be gone
+      // right after.
+      sub.join->remaining.fetch_sub(1, std::memory_order_release);
     }
     open_items_.fetch_sub(1, std::memory_order_release);
   }
 
-  // Saved per-item bindings so nested items (an owner draining the queue
-  // while its split unit joins) restore their parent's context.
+  void MineUnit(WorkerCtx& w, uint64_t unit_id) {
+    const UnitInfo& u = units_[unit_id];
+    UnitDomain ud(unit_id);
+    ud.domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
+    Item unit;
+    unit.unit_id = unit_id;
+    unit.unit = &ud;
+    unit.view = u.view;
+    unit.allowed = root_child_allowed_;
+    unit.path.emplace_back(u.code, u.i_ext);
+    unit.split = u.splittable;
+    MineItem(w, unit);
+    if (unit.complete) {
+      ud.domain.RecordEvent("unit.done", unit_id, unit.bank.size());
+    }
+    // Pattern-count watermarks, one per 1024 patterns of the unit. They are
+    // charged once the unit is assembled, so their count is the same however
+    // the unit was split.
+    for (size_t n = 1024; n <= unit.bank.size(); n += 1024) {
+      ud.domain.RecordEvent("patterns", n, unit_id);
+    }
+    ud.domain.GetGauge("miner.item.max_nodes")
+        ->Set(static_cast<int64_t>(unit.max_nodes));
+    DeliverUnit(unit_id, unit.complete, std::move(unit.bank),
+                ud.domain.TakeSnapshot().snapshot);
+    NoteUnitProgress(w);
+    if (unit.complete) NoteUnitAttribution(w);
+  }
+
+  // Saved per-item bindings so nested items (a split node's owner helping
+  // while its children join) restore their parent's context.
   struct ItemBinding {
-    obs::StatsDomain* domain;
     MinerMetrics om;
-    std::vector<MinedPattern<PatternT>>* bank;
-    uint64_t item_patterns;
+    Bank* bank;
   };
-  ItemBinding BindItem(WorkerCtx& w, obs::StatsDomain* domain,
-                       std::vector<MinedPattern<PatternT>>* bank) {
-    ItemBinding saved{w.domain, w.om, w.bank, w.item_patterns};
-    w.domain = domain;
-    w.om = MinerMetrics::ForRegistry(&domain->registry());
+  ItemBinding BindItem(WorkerCtx& w, const MinerMetrics& om, Bank* bank) {
+    ItemBinding saved{w.om, w.bank};
+    w.om = om;
     w.bank = bank;
-    w.item_patterns = 0;
     return saved;
   }
   void RestoreItem(WorkerCtx& w, const ItemBinding& saved) {
-    w.domain = saved.domain;
     w.om = saved.om;
     w.bank = saved.bank;
-    w.item_patterns = saved.item_patterns;
   }
 
-  void ProcessUnit(WorkerCtx& w, uint64_t unit_id) {
-    const UnitInfo& u = units_[unit_id];
-    obs::StatsDomain domain(
-        StringPrintf("unit-%llu", static_cast<unsigned long long>(unit_id)),
-        kUnitFlightCapacity);
-    std::vector<MinedPattern<PatternT>> bank;
-    const ItemBinding saved = BindItem(w, &domain, &bank);
-    domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
-    w.policy->Apply(u.code, u.i_ext);
-    ExpandSubtree(w, *u.view, *root_child_allowed_, /*depth=*/1);
-    w.policy->Undo(u.code, u.i_ext);
-    const bool complete = !w.guard->stopped();
-    FinishUnit(w, unit_id, complete, &domain, std::move(bank));
-    RestoreItem(w, saved);
-  }
-
-  /// --steal path for a splittable unit: expand the unit root, publish its
-  /// frequent children as stealable sub-units, help drain sub-units (only —
-  /// whole units would rewind this context's shallow arenas under the
-  /// thieves) until every child joined, then assemble the unit exactly as
-  /// if it had been mined in one piece.
-  void ProcessSplitUnit(WorkerCtx& w, uint64_t unit_id) {
-    const UnitInfo& u = units_[unit_id];
-    obs::StatsDomain domain(
-        StringPrintf("unit-%llu", static_cast<unsigned long long>(unit_id)),
-        kUnitFlightCapacity);
-    std::vector<MinedPattern<PatternT>> bank;
-    const ItemBinding saved = BindItem(w, &domain, &bank);
-    domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
-    w.policy->Apply(u.code, u.i_ext);
-    NodeChildren* nc =
-        ExpandNode(w, *u.view, *root_child_allowed_, /*depth=*/1);
-    std::deque<SubUnit> subs;  // stable addresses: published by pointer
-    SplitState split;
-    if (nc != nullptr) {
-      std::vector<void*> published;
-      uint32_t ord = 0;
-      for (uint32_t i : nc->order) {
-        const Bucket& b = nc->buckets[i];
-        const NodeProjection& view = b.builder.view();
-        if (view.num_spans < minsup_) continue;
-        subs.emplace_back();
-        SubUnit& s = subs.back();
-        s.unit_id = unit_id;
-        s.ord = ord++;
-        s.view = &view;
-        s.allowed = &nc->child_allowed;
-        s.path.push_back({u.code, u.i_ext});
-        s.path.push_back({b.code, b.i_ext});
-        s.split = &split;
-        published.push_back(&s);
-      }
-      split.remaining.store(static_cast<uint32_t>(subs.size()),
-                            std::memory_order_release);
-      if (!subs.empty()) {
-        open_items_.fetch_add(subs.size(), std::memory_order_relaxed);
-        scheduler_.PushSubs(unit_id, published);
-      }
+  /// Mines one work item: expand, publish, help, join. An unsplit item
+  /// walks its whole subtree. A split item expands only its root, publishes
+  /// the root's frequent children as sub-units, and helps drain items rooted
+  /// deeper than its root until they all joined — its own children stay
+  /// live in ChildrenAt(depth) and the arena at depth + 1, which nothing it
+  /// may claim touches. It then appends the children's banks in child
+  /// order, so a split item is indistinguishable from one mined in a single
+  /// piece.
+  void MineItem(WorkerCtx& w, Item& it) {
+    Bank bank;
+    const ItemBinding saved = BindItem(w, it.unit->om, &bank);
+    const uint32_t depth = static_cast<uint32_t>(it.path.size());
+    for (const std::pair<uint32_t, bool>& step : it.path) {
+      w.policy->Apply(step.first, step.second);
     }
-    w.policy->Undo(u.code, u.i_ext);
-    // Drain until the children are all accounted for. This keeps going even
-    // when a stop tripped: a stopped crew unwinds sub-units fast, and the
-    // join must complete before the owner's arenas may rewind.
-    while (split.remaining.load(std::memory_order_acquire) > 0) {
+    const uint64_t nodes_before = w.nodes;
+    std::deque<Item> subs;  // stable addresses: published by pointer
+    SplitState join;
+    NodeChildren* nc = nullptr;
+    if (it.split) {
+      nc = ExpandNode(w, *it.view, *it.allowed, depth);
+      if (nc != nullptr) PublishChildren(it, *nc, &subs, &join);
+    } else {
+      ExpandSubtree(w, *it.view, *it.allowed, depth);
+    }
+    for (size_t i = it.path.size(); i > 0; --i) {
+      w.policy->Undo(it.path[i - 1].first, it.path[i - 1].second);
+    }
+    it.max_nodes = w.nodes - nodes_before;
+    it.unit->item_nodes->Observe(it.max_nodes);
+    it.unit->item_depth->Observe(depth);
+    RestoreItem(w, saved);
+
+    // Help until the children are all accounted for. This keeps going even
+    // when a stop tripped: a stopped crew unwinds items fast, and the join
+    // must complete before this context may rewind the children's arena.
+    while (join.remaining.load(std::memory_order_acquire) > 0) {
       WorkItem item;
-      if (scheduler_.TryNextSub(&item)) {
+      if (scheduler_.TryNext(&item, depth)) {
         ProcessItem(w, item);
       } else {
         std::this_thread::sleep_for(std::chrono::microseconds(20));
       }
     }
-    if (nc != nullptr) ReleaseNode(w, nc, /*depth=*/1);
-    bool complete = !w.guard->stopped();
-    std::vector<obs::DomainSnapshot> parts;
-    for (SubUnit& s : subs) {
-      complete = complete && s.complete;
+    if (nc != nullptr) ReleaseNode(w, nc, depth);
+    it.complete = !w.guard->stopped();
+    size_t total = bank.size();
+    for (const Item& s : subs) total += s.bank.size();
+    bank.reserve(total);
+    for (Item& s : subs) {
+      it.complete = it.complete && s.complete;
+      it.max_nodes = std::max(it.max_nodes, s.max_nodes);
       for (MinedPattern<PatternT>& p : s.bank) bank.push_back(std::move(p));
-      parts.push_back(
-          {StringPrintf("unit-%llu.%u",
-                        static_cast<unsigned long long>(unit_id), s.ord),
-           std::move(s.delta)});
+      Bank().swap(s.bank);
     }
-    if (parts.empty()) {
-      FinishUnit(w, unit_id, complete, &domain, std::move(bank));
-    } else {
-      if (complete) {
-        domain.RecordEvent("unit.done", unit_id, bank.size());
-      }
-      parts.push_back(domain.TakeSnapshot());
-      DeliverUnit(unit_id, complete, std::move(bank),
-                  obs::MergeDomainSnapshots(std::move(parts)));
-      NoteUnitProgress(w);
-      if (complete) NoteUnitAttribution(w);
-    }
-    RestoreItem(w, saved);
+    it.bank = std::move(bank);
   }
 
-  void ProcessSub(WorkerCtx& w, SubUnit& s) {
-    obs::StatsDomain domain(
-        StringPrintf("unit-%llu.%u",
-                     static_cast<unsigned long long>(s.unit_id), s.ord),
-        kUnitFlightCapacity);
-    std::vector<MinedPattern<PatternT>> bank;
-    const ItemBinding saved = BindItem(w, &domain, &bank);
-    for (const std::pair<uint32_t, bool>& step : s.path) {
-      w.policy->Apply(step.first, step.second);
+  /// Publishes the frequent children of a split item's root, in child
+  /// order, as sub-units rooted one level deeper.
+  void PublishChildren(const Item& parent, const NodeChildren& nc,
+                       std::deque<Item>* subs, SplitState* join) {
+    std::vector<void*> published;
+    for (uint32_t i : nc.order) {
+      const Bucket& b = nc.buckets[i];
+      const NodeProjection& view = b.builder.view();
+      if (view.num_spans < minsup_) continue;
+      Item& s = subs->emplace_back();
+      s.unit_id = parent.unit_id;
+      s.unit = parent.unit;
+      s.view = &view;
+      s.allowed = &nc.child_allowed;
+      s.path = parent.path;
+      s.path.emplace_back(b.code, b.i_ext);
+      s.split = s.path.size() < kMaxSplitDepth;
+      s.join = join;
+      published.push_back(&s);
     }
-    ExpandSubtree(w, *s.view, *s.allowed,
-                  static_cast<uint32_t>(s.path.size()));
-    for (size_t i = s.path.size(); i > 0; --i) {
-      w.policy->Undo(s.path[i - 1].first, s.path[i - 1].second);
-    }
-    RestoreItem(w, saved);
-    s.complete = !w.guard->stopped();
-    s.bank = std::move(bank);
-    s.delta = domain.TakeSnapshot().snapshot;
-    // Release-decrement publishes bank/delta/complete to the owner's
-    // acquire-load in ProcessSplitUnit.
-    s.split->remaining.fetch_sub(1, std::memory_order_release);
-  }
-
-  void FinishUnit(WorkerCtx& w, uint64_t unit_id, bool complete,
-                  obs::StatsDomain* domain,
-                  std::vector<MinedPattern<PatternT>> bank) {
-    if (complete) {
-      domain->RecordEvent("unit.done", unit_id, bank.size());
-    }
-    DeliverUnit(unit_id, complete, std::move(bank),
-                domain->TakeSnapshot().snapshot);
-    NoteUnitProgress(w);
-    if (complete) NoteUnitAttribution(w);
+    if (published.empty()) return;
+    join->remaining.store(static_cast<uint32_t>(published.size()),
+                          std::memory_order_release);
+    open_items_.fetch_add(published.size(), std::memory_order_relaxed);
+    scheduler_.PushSubs(parent.unit_id,
+                        static_cast<uint32_t>(parent.path.size()) + 1,
+                        published);
   }
 
   void NoteUnitProgress(WorkerCtx& w) {
@@ -1092,7 +1096,7 @@ class GrowthEngine {
   // ---- Merger layer ----------------------------------------------------
 
   void DeliverUnit(uint64_t unit_id, bool complete,
-                   std::vector<MinedPattern<PatternT>> bank,
+                   Bank bank,
                    obs::MetricsSnapshot delta) {
     UnitDelivery d;
     d.unit_id = unit_id;
@@ -1159,13 +1163,12 @@ class GrowthEngine {
     stop_flag_.store(true, std::memory_order_release);
   }
 
-  void AssembleResult(ResultT* result,
-                      std::vector<MinedPattern<PatternT>>* root_bank) {
+  void AssembleResult(ResultT* result, Bank* root_bank) {
     size_t total = root_bank->size();
     for (const ResumeUnit& r : orphan_units_) total += r.bank.size();
     for (const UnitOutcome& o : outcomes_) total += o.bank.size();
     result->patterns.reserve(total);
-    auto append = [&](std::vector<MinedPattern<PatternT>>& bank) {
+    auto append = [&](Bank& bank) {
       for (MinedPattern<PatternT>& p : bank) {
         result->patterns.push_back(std::move(p));
       }
@@ -1293,7 +1296,7 @@ class GrowthEngine {
   Status WriteCheckpointNow() {
     struct DoneUnit {
       uint64_t key;
-      const std::vector<MinedPattern<PatternT>>* bank;
+      const Bank* bank;
     };
     std::vector<DoneUnit> done;
     for (const ResumeUnit& r : orphan_units_) done.push_back({r.key, &r.bank});

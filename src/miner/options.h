@@ -112,10 +112,7 @@ struct MinerOptions {
   /// byte-identical for every value. Level-wise miners ignore this.
   uint32_t threads = 1;
 
-  /// Opt-in work stealing: split heavyweight depth-0 units into per-child
-  /// sub-units other workers can pick up. The split decision depends only on
-  /// the projection (never on the thread count), so results stay
-  /// byte-identical across thread counts with the flag either way.
+  /// Ignored (splitting is always on); kept because perfbench assigns it.
   bool steal = false;
 
   // --- P-TPMiner pruning toggles (see DESIGN.md §2.1) ---

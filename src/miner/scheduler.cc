@@ -23,20 +23,22 @@ void WorkScheduler::Reset(std::vector<WorkUnit> units) {
   units_ = std::move(units);
   unit_cursor_ = 0;
   subs_.clear();
-  sub_cursor_ = 0;
   dispatched_ = 0;
 }
 
-bool WorkScheduler::TryNext(WorkItem* out) {
+bool WorkScheduler::TryNext(WorkItem* out, uint32_t deeper_than) {
   // Tier E seam: the claim boundary is where worker interleavings diverge
   // (util/sched_test.h). Before the lock, never inside it.
   TPM_TEST_YIELD("miner.sched.next");
   MutexLock lock(&mu_);
-  if (sub_cursor_ < subs_.size()) {
-    *out = subs_[sub_cursor_++];
-    return true;
+  for (size_t depth = subs_.size(); depth-- > size_t{deeper_than} + 1;) {
+    SubQueue& q = subs_[depth];
+    if (q.cursor < q.items.size()) {
+      *out = q.items[q.cursor++];
+      return true;
+    }
   }
-  if (unit_cursor_ < units_.size()) {
+  if (deeper_than == 0 && unit_cursor_ < units_.size()) {
     const WorkUnit& u = units_[unit_cursor_++];
     out->kind = WorkItem::Kind::kUnit;
     out->unit_id = u.id;
@@ -47,25 +49,17 @@ bool WorkScheduler::TryNext(WorkItem* out) {
   return false;
 }
 
-bool WorkScheduler::TryNextSub(WorkItem* out) {
-  TPM_TEST_YIELD("miner.sched.next");
-  MutexLock lock(&mu_);
-  if (sub_cursor_ < subs_.size()) {
-    *out = subs_[sub_cursor_++];
-    return true;
-  }
-  return false;
-}
-
-void WorkScheduler::PushSubs(uint64_t unit_id, const std::vector<void*>& subs) {
+void WorkScheduler::PushSubs(uint64_t unit_id, uint32_t depth,
+                             const std::vector<void*>& subs) {
   TPM_TEST_YIELD("miner.sched.split");
   MutexLock lock(&mu_);
+  if (subs_.size() <= depth) subs_.resize(depth + 1);
   for (void* sub : subs) {
     WorkItem item;
     item.kind = WorkItem::Kind::kSub;
     item.unit_id = unit_id;
     item.sub = sub;
-    subs_.push_back(item);
+    subs_[depth].items.push_back(item);
   }
 }
 

@@ -11,13 +11,16 @@
 // bookkeeping, which is what keeps it language-agnostic and testable
 // without a miner.
 //
-// Work stealing (--steal) adds a second, higher-priority queue of sub-units:
-// an owner that opens a heavyweight unit publishes that unit's level-2
-// children as sub-units any worker may claim, then drains the shared queue
-// itself until its children are all accounted for. The sub payload is an
+// Splitting adds sub-units: a worker that opens a heavyweight unit (or a
+// sub-unit above the engine's split depth) publishes the node's frequent
+// children as sub-units any worker may claim, then helps drain the queue
+// until its children are all accounted for. Sub-units are published with
+// the depth of their root node — whole units are rooted at depth 1 — and a
+// claim names the depth its caller waits at: only items rooted deeper than
+// that are handed out, deepest first, FIFO within one depth. The sub payload is an
 // engine-owned descriptor the scheduler never dereferences.
 //
-// Locking: one Mutex around the two cursors/queues. TryNext/PushSubs are
+// Locking: one Mutex around the cursors/queues. TryNext/PushSubs are
 // called from every worker; the critical sections are a handful of pointer
 // moves and never touch metrics, I/O, or other locks (leaf lock in the
 // canonical lockdep order, see docs/STATIC_ANALYSIS.md).
@@ -41,8 +44,8 @@ struct WorkUnit {
   bool splittable = false;  ///< eligible for per-child sub-unit splitting
 };
 
-/// What TryNext hands a worker: a whole unit, or one stolen sub-unit of a
-/// unit another worker opened. `sub` is an engine-owned descriptor.
+/// What TryNext hands a worker: a whole unit, or one sub-unit of a unit a
+/// worker split. `sub` is an engine-owned descriptor.
 struct WorkItem {
   enum class Kind { kNone, kUnit, kSub };
   Kind kind = Kind::kNone;
@@ -53,11 +56,11 @@ struct WorkItem {
 /// Marks units whose subtrees are worth splitting: weight at least
 /// `min_spans` and at least twice the mean weight. Depends only on the
 /// projection sizes — never on the thread count — so the work-item set (and
-/// therefore every per-item metrics domain) is identical for any --threads.
+/// therefore every per-unit metrics delta) is identical for any --threads.
 void MarkSplittableUnits(std::vector<WorkUnit>* units, uint64_t min_spans);
 
-/// FIFO work queue shared by the workers. Sub-units outrank whole units so
-/// a split unit's children finish promptly and their owner stops draining.
+/// Work queue shared by the workers. Deeper items outrank shallower ones
+/// (whole units last) so published splits join promptly.
 class WorkScheduler {
  public:
   WorkScheduler() = default;
@@ -67,21 +70,19 @@ class WorkScheduler {
   /// Replaces the queue with `units` (already in deterministic id order).
   void Reset(std::vector<WorkUnit> units);
 
-  /// Claims the next item: the oldest unclaimed sub-unit if any, else the
-  /// next whole unit in id order. False when both queues are drained (more
-  /// sub-units may still be published by a worker splitting a unit — callers
-  /// gate shutdown on their own outstanding-item count, not on this).
-  bool TryNext(WorkItem* out);
+  /// Claims the oldest unclaimed item of the deepest depth greater than
+  /// `deeper_than`; whole units (depth 1) come out in id order. A context
+  /// waiting on a node at depth d passes d: its children and the arenas
+  /// below them stay live, and only deeper items leave them untouched.
+  /// False when nothing eligible is queued (more sub-units may still be
+  /// published by a worker splitting a node — callers gate shutdown on
+  /// their own outstanding-item count, not on this).
+  bool TryNext(WorkItem* out, uint32_t deeper_than = 0);
 
-  /// Claims the oldest unclaimed sub-unit only — never a whole unit. A
-  /// split unit's owner drains with this while joining: claiming a whole
-  /// unit there would rewind the owner's shallow arenas while thieves still
-  /// read the published child views.
-  bool TryNextSub(WorkItem* out);
-
-  /// Publishes one split unit's sub-units in child order (atomically, so a
-  /// failed TryNext never observes half a split).
-  void PushSubs(uint64_t unit_id, const std::vector<void*>& subs);
+  /// Publishes one split node's sub-units, rooted at `depth`, in child
+  /// order (atomically, so a failed TryNext never observes half a split).
+  void PushSubs(uint64_t unit_id, uint32_t depth,
+                const std::vector<void*>& subs);
 
   /// Whole units not yet handed out.
   uint64_t units_pending() const;
@@ -90,11 +91,15 @@ class WorkScheduler {
   uint64_t units_dispatched() const;
 
  private:
+  struct SubQueue {
+    std::vector<WorkItem> items;
+    size_t cursor = 0;
+  };
+
   mutable Mutex mu_;
   std::vector<WorkUnit> units_ TPM_GUARDED_BY(mu_);
   size_t unit_cursor_ TPM_GUARDED_BY(mu_) = 0;
-  std::vector<WorkItem> subs_ TPM_GUARDED_BY(mu_);
-  size_t sub_cursor_ TPM_GUARDED_BY(mu_) = 0;
+  std::vector<SubQueue> subs_ TPM_GUARDED_BY(mu_);  ///< by root depth
   uint64_t dispatched_ TPM_GUARDED_BY(mu_) = 0;
 };
 

@@ -43,6 +43,9 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "miner.arena.blocks",
     "miner.arena.depth_bytes",
     "miner.arena.peak_bytes",
+    "miner.item.depth",
+    "miner.item.max_nodes",
+    "miner.item.nodes",
     "miner.worker.nodes",
     "miner.worker.units",
     "obs.flight.events",

@@ -113,6 +113,33 @@ TEST(ReportTest, RendersPerWorkerBreakdown) {
   EXPECT_NE(report->find("11"), std::string::npos);
 }
 
+TEST(ReportTest, RendersLargestWorkItem) {
+  // 40 nodes in 5 items, the largest holding 10: a quarter of the search,
+  // so no thread count can beat 4x.
+  const std::string doc = R"({
+    "counters": {"search.candidates": 10},
+    "gauges": {"miner.item.max_nodes": 10},
+    "histograms": {
+      "search.nodes": {"bounds": [0, 1], "counts": [1, 39, 0],
+                       "count": 40, "sum": 39},
+      "miner.item.nodes": {"bounds": [1, 4, 16], "counts": [2, 1, 2, 0],
+                           "count": 5, "sum": 39}
+    }
+  })";
+  auto report = RenderMetricsReport(doc);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("work items: 5; largest work item = 25.0% of nodes "
+                         "(10 of 40)"),
+            std::string::npos)
+      << *report;
+  EXPECT_NE(report->find("speedup bound \u2248 4.0x"), std::string::npos)
+      << *report;
+  // Runs without item metrics (level-wise miners) get no line.
+  auto plain = RenderMetricsReport(kSnapshotJson);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->find("work items"), std::string::npos);
+}
+
 TEST(ReportTest, OmitsWorkerBreakdownForSingleThreadRuns) {
   // No miner.worker.* histograms (the --threads=1 shape): no section.
   auto report = RenderMetricsReport(kSnapshotJson);

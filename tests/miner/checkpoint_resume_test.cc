@@ -244,18 +244,15 @@ TEST_P(CheckpointResumeTest, ResumeAcrossThreadCounts) {
   if (clean->patterns.size() < 3) return;
   const uint64_t cap = clean->patterns.size() / 2;
 
-  // (interrupting threads, resuming threads): parallel→serial and
-  // serial→parallel, plus parallel→parallel with steal on the resume.
+  // (interrupting threads, resuming threads): parallel→serial,
+  // serial→parallel and parallel→parallel.
   struct Combo {
     uint32_t part_threads;
     uint32_t resume_threads;
-    bool resume_steal;
   };
-  for (const Combo c : {Combo{4, 1, false}, Combo{1, 8, false},
-                        Combo{2, 4, true}}) {
+  for (const Combo c : {Combo{4, 1}, Combo{1, 8}, Combo{2, 4}}) {
     SCOPED_TRACE("part=" + std::to_string(c.part_threads) +
-                 " resume=" + std::to_string(c.resume_threads) +
-                 (c.resume_steal ? " steal" : ""));
+                 " resume=" + std::to_string(c.resume_threads));
     const std::string path = TempPath("resume_threads.tpmc");
     MinerOptions part = base;
     part.threads = c.part_threads;
@@ -272,7 +269,6 @@ TEST_P(CheckpointResumeTest, ResumeAcrossThreadCounts) {
 
     MinerOptions resume_options = base;
     resume_options.threads = c.resume_threads;
-    resume_options.steal = c.resume_steal;
     resume_options.resume = &*ckpt;
     obs::StatsDomain resume_domain("resume");
     resume_options.stats_domain = &resume_domain;

@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "datagen/quest.h"
+#include "io/checkpoint.h"
 #include "miner/coincidence_growth.h"
 #include "miner/endpoint_growth.h"
 #include "obs/stats_domain.h"
@@ -203,24 +206,18 @@ TEST(GrowthEngineKeyTableTest, LargestKeyIsMined) {
 }
 
 TEST(GrowthEngineKeyTableTest, ThreadCountsAgree) {
-  struct Run {
-    uint32_t threads;
-    bool steal;
-  };
   for (const DbCase& c : Cases()) {
     const IntervalDatabase db = MakeDb(c, 1);
     for (TimeT window : {TimeT{0}, TimeT{40}}) {
       for (uint32_t mask : {0u, 3u, 7u}) {
         std::string ep_want, ep_metrics, co_want, co_metrics;
-        for (const Run& run : {Run{1, false}, Run{4, false}, Run{4, true}}) {
+        for (uint32_t threads : {1u, 4u}) {
           const std::string label =
               std::string(c.name) + " window " + std::to_string(window) +
               " mask " + std::to_string(mask) + " threads " +
-              std::to_string(run.threads) + " steal " +
-              std::to_string(run.steal);
+              std::to_string(threads);
           MinerOptions options = Options(mask, window);
-          options.threads = run.threads;
-          options.steal = run.steal;
+          options.threads = threads;
           obs::StatsDomain ep_domain("ep");
           options.stats_domain = &ep_domain;
           auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
@@ -230,7 +227,7 @@ TEST(GrowthEngineKeyTableTest, ThreadCountsAgree) {
           auto co =
               MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
           ASSERT_TRUE(co.ok()) << co.status();
-          if (run.threads == 1) {
+          if (threads == 1) {
             ep_want = EmissionOrderRender(*ep, db.dict());
             ep_metrics = ComparableMetricsJson(ep->stats.metrics);
             co_want = EmissionOrderRender(*co, db.dict());
@@ -255,7 +252,6 @@ TEST(GrowthEngineKeyTableTest, EmissionFollowsChildKeyOrder) {
     for (uint32_t threads : {1u, 4u}) {
       MinerOptions options = Options(7, 0);
       options.threads = threads;
-      options.steal = threads > 1;
       auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
       auto co = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
       ASSERT_TRUE(ep.ok()) << ep.status();
@@ -264,6 +260,173 @@ TEST(GrowthEngineKeyTableTest, EmissionFollowsChildKeyOrder) {
       ExpectChildOrder(*co, std::string(c.name) + " coincidence");
     }
   }
+}
+
+// ---- Nested splitting ------------------------------------------------------
+//
+// A heavyweight unit is split into sub-units, and a sub-unit rooted above
+// the deepest split depth is split again. This QUEST database has units
+// heavy enough to split and subtrees deep enough for sub-units at every
+// split depth; the item set depends on the data only, so patterns and
+// merged metrics (the item histograms included) match at every thread
+// count, and so does a run stopped inside a nested split and resumed at
+// another thread count.
+
+IntervalDatabase MakeDeepDb() {
+  QuestConfig config;
+  config.num_sequences = 60;
+  config.avg_intervals_per_sequence = 8.0;
+  config.num_symbols = 14;
+  config.num_potential_patterns = 4;
+  config.pattern_injection_prob = 0.8;
+  config.seed = 2;
+  auto db = GenerateQuest(config);
+  EXPECT_TRUE(db.ok()) << db.status();
+  return std::move(*db);
+}
+
+MinerOptions DeepOptions(uint32_t threads) {
+  MinerOptions options;
+  options.min_support = 0.15;
+  options.threads = threads;
+  return options;
+}
+
+template <typename PatternT>
+using MineFn = Result<MiningResult<PatternT>> (*)(const IntervalDatabase&,
+                                                  const MinerOptions&);
+
+Result<MiningResult<EndpointPattern>> MineEndpoint(const IntervalDatabase& db,
+                                                   const MinerOptions& o) {
+  return MineEndpointGrowth(db, o, EndpointGrowthConfig{});
+}
+
+Result<MiningResult<CoincidencePattern>> MineCoincidence(
+    const IntervalDatabase& db, const MinerOptions& o) {
+  return MineCoincidenceGrowth(db, o, CoincidenceGrowthConfig{});
+}
+
+// Work items per root depth (index 0 = whole units), from the merged
+// miner.item.depth histogram.
+std::vector<uint64_t> ItemsByDepth(const obs::MetricsSnapshot& snap) {
+  const obs::HistogramSample* h = snap.FindHistogram("miner.item.depth");
+  return h == nullptr ? std::vector<uint64_t>{} : h->counts;
+}
+
+template <typename PatternT>
+void ExpectNestedSplitsAgree(MineFn<PatternT> mine, const std::string& lang) {
+  SCOPED_TRACE(lang);
+  const IntervalDatabase db = MakeDeepDb();
+  obs::StatsDomain base_domain("t1");
+  MinerOptions options = DeepOptions(1);
+  options.stats_domain = &base_domain;
+  auto single = mine(db, options);
+  ASSERT_TRUE(single.ok()) << single.status();
+#ifndef TPM_OBS_DISABLED
+  // Sub-units rooted at depths 3 and 4 exist only if sub-units split again.
+  const std::vector<uint64_t> by_depth = ItemsByDepth(single->stats.metrics);
+  ASSERT_GE(by_depth.size(), 4u);
+  EXPECT_GT(by_depth[2], 0u);
+  EXPECT_GT(by_depth[3], 0u);
+#endif
+  const std::string want = EmissionOrderRender(*single, db.dict());
+  const std::string want_metrics = ComparableMetricsJson(single->stats.metrics);
+  for (uint32_t threads : {2u, 4u, 8u}) {
+    obs::StatsDomain domain("t" + std::to_string(threads));
+    MinerOptions par = DeepOptions(threads);
+    par.stats_domain = &domain;
+    auto result = mine(db, par);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
+        << "threads " << threads;
+    EXPECT_EQ(ComparableMetricsJson(result->stats.metrics), want_metrics)
+        << "threads " << threads;
+  }
+}
+
+TEST(GrowthEngineSplitTest, NestedSplitsAgreeAcrossThreadCounts) {
+  ExpectNestedSplitsAgree<EndpointPattern>(&MineEndpoint, "endpoint");
+  ExpectNestedSplitsAgree<CoincidencePattern>(&MineCoincidence, "coincidence");
+}
+
+// The pattern cap stops the run inside the heaviest unit, at a pattern at
+// least three steps deep — inside a sub-unit of a sub-unit. The
+// single-thread emission order is the output order, so the cap that stops
+// there is that pattern's index.
+template <typename PatternT>
+void ExpectNestedStopResumes(MineFn<PatternT> mine, const std::string& lang) {
+  SCOPED_TRACE(lang);
+  const IntervalDatabase db = MakeDeepDb();
+  obs::StatsDomain clean_domain("clean");
+  MinerOptions clean_options = DeepOptions(1);
+  clean_options.stats_domain = &clean_domain;
+  auto clean = mine(db, clean_options);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+
+  // The heaviest unit: the longest run of patterns with the same first step.
+  size_t best_begin = 0;
+  size_t best_size = 0;
+  for (size_t i = 0; i < clean->patterns.size();) {
+    const Step first = Steps(clean->patterns[i].pattern)[0];
+    size_t j = i + 1;
+    while (j < clean->patterns.size() &&
+           Steps(clean->patterns[j].pattern)[0] == first) {
+      ++j;
+    }
+    if (j - i > best_size) {
+      best_begin = i;
+      best_size = j - i;
+    }
+    i = j;
+  }
+  uint64_t cap = 0;
+  for (size_t i = best_begin + best_size / 2; i < best_begin + best_size; ++i) {
+    if (Steps(clean->patterns[i].pattern).size() >= 3) {
+      cap = i;
+      break;
+    }
+  }
+  ASSERT_GT(cap, 0u) << "no deep pattern in the heaviest unit";
+
+  struct Combo {
+    uint32_t part_threads;
+    uint32_t resume_threads;
+  };
+  for (const Combo c : {Combo{1, 4}, Combo{4, 2}, Combo{8, 1}}) {
+    SCOPED_TRACE("part=" + std::to_string(c.part_threads) +
+                 " resume=" + std::to_string(c.resume_threads));
+    const std::string path =
+        ::testing::TempDir() + "/nested_split_" + lang + ".tpmc";
+    MinerOptions part = DeepOptions(c.part_threads);
+    part.max_patterns = cap;
+    CheckpointWriter writer(path, 0.0);
+    part.checkpoint_writer = &writer;
+    obs::StatsDomain part_domain("part");
+    part.stats_domain = &part_domain;
+    auto interrupted = mine(db, part);
+    ASSERT_TRUE(interrupted.ok()) << interrupted.status();
+    ASSERT_TRUE(interrupted->stats.truncated);
+    auto ckpt = ReadCheckpointFile(path);
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status();
+
+    MinerOptions resume_options = DeepOptions(c.resume_threads);
+    resume_options.resume = &*ckpt;
+    obs::StatsDomain resume_domain("resume");
+    resume_options.stats_domain = &resume_domain;
+    auto resumed = mine(db, resume_options);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_FALSE(resumed->stats.truncated);
+    EXPECT_EQ(EmissionOrderRender(*resumed, db.dict()),
+              EmissionOrderRender(*clean, db.dict()));
+    EXPECT_EQ(ComparableMetricsJson(resumed->stats.metrics),
+              ComparableMetricsJson(clean->stats.metrics));
+    std::remove(path.c_str());
+  }
+}
+
+TEST(GrowthEngineSplitTest, StopInsideNestedSplitResumesAtOtherThreadCounts) {
+  ExpectNestedStopResumes<EndpointPattern>(&MineEndpoint, "endpoint");
+  ExpectNestedStopResumes<CoincidencePattern>(&MineCoincidence, "coincidence");
 }
 
 }  // namespace

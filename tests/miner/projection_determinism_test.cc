@@ -4,8 +4,7 @@
 //     with and without a time window) must report the same sorted pattern
 //     set as their physical-projection baselines TPrefixSpan and CTMiner —
 //     the mid-size cross-check next to the tiny-database oracle tests;
-//   - --threads=1 and any worker count (with and without --steal) must mine
-//     a byte-identical stream, for both pattern languages and every pruning
+//   - --threads=1 and any worker count must mine a byte-identical stream, for both pattern languages and every pruning
 //     on/off combination. The thread sweep pins the scheduler/worker/merger
 //     contract (docs/ARCHITECTURE.md): identical patterns in identical
 //     emission order AND identical merged metrics for any thread count and
@@ -140,8 +139,8 @@ std::string EmissionOrderRender(const MiningResult<PatternT>& result,
   return out;
 }
 
-// --threads sweep: mining with 2/4/8 workers (and with --steal splitting
-// heavyweight subtrees) must be byte-identical to --threads=1 — patterns in
+// --threads sweep: mining with 2/4/8 workers (heavyweight subtrees split
+// into sub-units) must be byte-identical to --threads=1 — patterns in
 // emission order AND the full merged metrics delta (modulo the memory /
 // scheduling-attribution families every equivalent run may vary in).
 TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
@@ -156,23 +155,20 @@ TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
     const std::string want_metrics =
         ComparableMetricsJson(single->stats.metrics);
     for (uint32_t threads : {2u, 4u, 8u}) {
-      for (bool steal : {false, true}) {
-        MinerOptions par = BaseOptions(mask);
-        par.threads = threads;
-        par.steal = steal;
-        std::string domain_name = "t";
-        domain_name += std::to_string(threads);
-        obs::StatsDomain domain(domain_name);
-        par.stats_domain = &domain;
-        auto result = MineEndpointGrowth(db, par, EndpointGrowthConfig{});
-        ASSERT_TRUE(result.ok()) << result.status();
-        EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
-            << "mask " << mask << " threads " << threads << " steal " << steal;
-        EXPECT_EQ(ComparableMetricsJson(result->stats.metrics), want_metrics)
-            << "mask " << mask << " threads " << threads << " steal " << steal;
-        EXPECT_EQ(result->stats.nodes_expanded, single->stats.nodes_expanded);
-        EXPECT_EQ(result->stats.states_created, single->stats.states_created);
-      }
+      MinerOptions par = BaseOptions(mask);
+      par.threads = threads;
+      std::string domain_name = "t";
+      domain_name += std::to_string(threads);
+      obs::StatsDomain domain(domain_name);
+      par.stats_domain = &domain;
+      auto result = MineEndpointGrowth(db, par, EndpointGrowthConfig{});
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
+          << "mask " << mask << " threads " << threads;
+      EXPECT_EQ(ComparableMetricsJson(result->stats.metrics), want_metrics)
+          << "mask " << mask << " threads " << threads;
+      EXPECT_EQ(result->stats.nodes_expanded, single->stats.nodes_expanded);
+      EXPECT_EQ(result->stats.states_created, single->stats.states_created);
     }
   }
 }
@@ -191,7 +187,6 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
     for (uint32_t threads : {2u, 4u, 8u}) {
       MinerOptions par = BaseOptions(mask);
       par.threads = threads;
-      par.steal = (threads == 8);  // exercise the steal path at the top end
       std::string domain_name = "t";
       domain_name += std::to_string(threads);
       obs::StatsDomain domain(domain_name);

@@ -2,9 +2,10 @@
 //
 // The scheduler is pure bookkeeping — no miner, no projections — so these
 // tests pin down the exact contracts the growth engine builds on: FIFO
-// dispatch in unit-id order, sub-units outranking whole units, TryNextSub
-// never claiming a whole unit, and the thread-count-independent split
-// heuristic. A concurrency smoke at the end hammers the queue from several
+// dispatch in unit-id order, deeper items outranking shallower ones (whole
+// units last) with FIFO order within one depth, a waiter at depth d only
+// ever claiming items rooted deeper than d, and the thread-count-independent
+// split heuristic. A concurrency smoke at the end hammers the queue from several
 // threads and checks every item is claimed exactly once (meaningful under
 // TSan, cheap everywhere else).
 
@@ -67,7 +68,7 @@ TEST(WorkSchedulerTest, SubsOutrankWholeUnits) {
   // units 1 and 2, in publication order.
   int payload_a = 0;
   int payload_b = 0;
-  sched.PushSubs(0, {&payload_a, &payload_b});
+  sched.PushSubs(0, 2, {&payload_a, &payload_b});
 
   ASSERT_TRUE(sched.TryNext(&item));
   EXPECT_EQ(item.kind, WorkItem::Kind::kSub);
@@ -83,21 +84,58 @@ TEST(WorkSchedulerTest, SubsOutrankWholeUnits) {
   EXPECT_EQ(item.unit_id, 1u);
 }
 
-TEST(WorkSchedulerTest, TryNextSubNeverClaimsWholeUnits) {
+TEST(WorkSchedulerTest, DeeperSubsFirstAndFifoWithinOneDepth) {
+  WorkScheduler sched;
+  sched.Reset(MakeUnits({5, 5}));
+  int d2[3] = {};
+  int d3[2] = {};
+  int d4[2] = {};
+  sched.PushSubs(0, 2, {&d2[0], &d2[1]});
+  sched.PushSubs(0, 3, {&d3[0]});
+  sched.PushSubs(1, 2, {&d2[2]});
+  sched.PushSubs(0, 4, {&d4[0], &d4[1]});
+  sched.PushSubs(1, 3, {&d3[1]});
+
+  // Deepest depth first; within a depth, publication order across owners.
+  const std::vector<void*> want = {&d4[0], &d4[1], &d3[0], &d3[1],
+                                   &d2[0], &d2[1], &d2[2]};
+  for (void* sub : want) {
+    WorkItem item;
+    ASSERT_TRUE(sched.TryNext(&item));
+    EXPECT_EQ(item.kind, WorkItem::Kind::kSub);
+    EXPECT_EQ(item.sub, sub);
+  }
+  WorkItem item;
+  ASSERT_TRUE(sched.TryNext(&item));
+  EXPECT_EQ(item.kind, WorkItem::Kind::kUnit);
+  EXPECT_EQ(item.unit_id, 0u);
+}
+
+TEST(WorkSchedulerTest, WaitersClaimOnlyDeeperItems) {
   WorkScheduler sched;
   sched.Reset(MakeUnits({5, 5}));
 
+  // A context waiting at depth 1 (a split unit's owner) never gets a whole
+  // unit: those are rooted at depth 1 too.
   WorkItem item;
-  EXPECT_FALSE(sched.TryNextSub(&item));
+  EXPECT_FALSE(sched.TryNext(&item, 1));
   EXPECT_EQ(sched.units_pending(), 2u);  // untouched
 
-  int payload = 0;
-  sched.PushSubs(0, {&payload});
-  ASSERT_TRUE(sched.TryNextSub(&item));
-  EXPECT_EQ(item.kind, WorkItem::Kind::kSub);
-  EXPECT_EQ(item.sub, &payload);
-  EXPECT_FALSE(sched.TryNextSub(&item));
-  // The whole units are still there for TryNext.
+  int d2 = 0;
+  int d3 = 0;
+  sched.PushSubs(0, 2, {&d2});
+  sched.PushSubs(0, 3, {&d3});
+  // Waiting at depth 3: nothing at depth 2 or 3 is eligible.
+  EXPECT_FALSE(sched.TryNext(&item, 3));
+  // Waiting at depth 2: only the depth-3 item.
+  ASSERT_TRUE(sched.TryNext(&item, 2));
+  EXPECT_EQ(item.sub, &d3);
+  EXPECT_FALSE(sched.TryNext(&item, 2));
+  // Waiting at depth 1: the depth-2 item, and still no whole unit.
+  ASSERT_TRUE(sched.TryNext(&item, 1));
+  EXPECT_EQ(item.sub, &d2);
+  EXPECT_FALSE(sched.TryNext(&item, 1));
+  // The whole units are still there for the top-level loop.
   EXPECT_EQ(sched.units_pending(), 2u);
   ASSERT_TRUE(sched.TryNext(&item));
   EXPECT_EQ(item.kind, WorkItem::Kind::kUnit);
@@ -109,12 +147,13 @@ TEST(WorkSchedulerTest, ResetClearsEverything) {
   WorkItem item;
   ASSERT_TRUE(sched.TryNext(&item));
   int payload = 0;
-  sched.PushSubs(0, {&payload});
+  sched.PushSubs(0, 2, {&payload});
+  sched.PushSubs(0, 3, {&payload});
 
   sched.Reset(MakeUnits({7}));
   EXPECT_EQ(sched.units_pending(), 1u);
   EXPECT_EQ(sched.units_dispatched(), 0u);
-  // The stale sub from the previous generation must be gone.
+  // The stale subs from the previous generation must be gone.
   ASSERT_TRUE(sched.TryNext(&item));
   EXPECT_EQ(item.kind, WorkItem::Kind::kUnit);
   EXPECT_EQ(item.unit_id, 0u);
@@ -169,8 +208,8 @@ TEST(WorkSchedulerTest, ConcurrentClaimsAreExactlyOnce) {
   WorkScheduler sched;
   sched.Reset(std::move(units));
 
-  // Each worker also publishes one sub per claimed even unit, so both
-  // queues see contention. Subs are tagged by pointer identity.
+  // Each worker also publishes one sub per claimed even unit, at depths
+  // 2..4, so every queue sees contention. Subs are tagged by pointer identity.
   std::vector<int> sub_payloads(kUnits, 0);
   std::atomic<int> units_claimed{0};
   std::atomic<int> subs_claimed{0};
@@ -184,14 +223,16 @@ TEST(WorkSchedulerTest, ConcurrentClaimsAreExactlyOnce) {
           per_thread_units[t].insert(item.unit_id);
           units_claimed.fetch_add(1, std::memory_order_relaxed);
           if (item.unit_id % 2 == 0) {
-            sched.PushSubs(item.unit_id, {&sub_payloads[item.unit_id]});
+            sched.PushSubs(item.unit_id,
+                           static_cast<uint32_t>(2 + item.unit_id % 3),
+                           {&sub_payloads[item.unit_id]});
           }
         } else {
           subs_claimed.fetch_add(1, std::memory_order_relaxed);
         }
       }
       // Drain any subs published after the unit queue emptied.
-      while (sched.TryNextSub(&item)) {
+      while (sched.TryNext(&item, 1)) {
         subs_claimed.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -178,7 +178,6 @@ struct MineFlags {
   bool no_postfix_pruning = false;
   bool no_validity_pruning = false;
   int64_t threads = 1;
-  bool steal = false;
   double progress = -1.0;  // < 0 = off; bare --progress means 1s cadence
   std::string postmortem_out = "auto";
   std::string checkpoint_out = "off";
@@ -217,9 +216,6 @@ struct MineFlags {
     p->AddInt64("threads", &threads,
                 "worker threads for growth-engine mining (1-64; output is "
                 "byte-identical for any value)");
-    p->AddBool("steal", &steal,
-               "split heavyweight subtrees into stealable sub-units "
-               "(growth engines with --threads > 1)");
     p->AddOptionalDouble("progress", &progress, 1.0,
                          "print live progress/ETA to stderr every N seconds "
                          "(bare --progress = 1s)");
@@ -299,7 +295,6 @@ struct MineFlags {
     options.postfix_pruning = !no_postfix_pruning;
     options.validity_pruning = !no_validity_pruning;
     options.threads = static_cast<uint32_t>(threads);
-    options.steal = steal;
     return options;
   }
 };
