@@ -97,6 +97,22 @@ class CoincidencePolicy {
   void BeginNode() const {}
   void FlushNodeMetrics(const MinerMetrics& /*om*/) const {}
 
+  // S-extensions of a state start at the segment after its last match.
+  uint32_t SExtFrom(uint32_t seq, uint32_t item) const {
+    if (item == kNoStateItem) return 0;
+    const CoincidenceSequence& cs = (*cdb_)[seq];
+    return cs.seg_end(cs.item_segment(item));
+  }
+
+  // Without a window only the run-broken check, on the last coincidence's
+  // symbols, can skip a later segment's symbol.
+  SExtReach SExtReachOf(uint32_t code) const {
+    if (options_.max_window > 0 || IndexOf(last_syms_, code) >= 0) {
+      return SExtReach::kPerState;
+    }
+    return SExtReach::kAlways;
+  }
+
   template <typename ItemAt, typename Sink>
   void ScanState(const GrowthScanCtx& ctx, uint32_t seq, const StateRec& st,
                  const uint32_t* bnd, ItemAt&& item_at, Sink&& try_push) {
@@ -131,8 +147,11 @@ class CoincidencePolicy {
 
     // S-extensions: any later segment.
     if (ctx.allow_s_ext) {
-      const uint32_t from = st.item == kNoStateItem ? 0 : cs.seg_end(st_seg);
-      for (uint32_t p = from; p < cs.num_items(); ++p) {
+      const uint32_t from = SExtFrom(seq, st.item);
+      for (auto it = std::lower_bound(ctx.s_items.begin(), ctx.s_items.end(),
+                                      from);
+           it != ctx.s_items.end(); ++it) {
+        const uint32_t p = *it;
         const EventId y = item_at(p);
         const uint32_t p_seg = cs.item_segment(p);
         if (options_.max_window > 0 && st.anchor != kNoStateItem &&

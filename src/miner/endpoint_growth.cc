@@ -91,6 +91,26 @@ class EndpointPolicy {
     om.validity_hits->Increment(node_validity_closes_);
   }
 
+  // S-extensions of a state start at the slice after its last match.
+  uint32_t SExtFrom(uint32_t seq, uint32_t item) const {
+    if (item == kNoStateItem) return 0;
+    const EndpointSequence& es = (*edb_)[seq];
+    return es.slice_end(es.item_slice(item));
+  }
+
+  // The S-extension loop skips open symbols' starts, and pushes finishes
+  // only for the obligated position, and only when validity pruning does
+  // not close them from the obligations instead. Without a window nothing
+  // else skips a start.
+  SExtReach SExtReachOf(uint32_t code) const {
+    if (IsFinish(code)) {
+      return validity_pruning_ ? SExtReach::kNever : SExtReach::kPerState;
+    }
+    if (InOpen(EndpointEvent(code))) return SExtReach::kNever;
+    return options_.max_window > 0 ? SExtReach::kPerState
+                                   : SExtReach::kAlways;
+  }
+
   template <typename ItemAt, typename Sink>
   void ScanState(const GrowthScanCtx& ctx, uint32_t seq, const StateRec& st,
                  const uint32_t* req, ItemAt&& item_at, Sink&& try_push) {
@@ -150,10 +170,11 @@ class EndpointPolicy {
 
     // --- S-extensions: any later slice. ---
     if (ctx.allow_s_ext) {
-      const uint32_t from =
-          st.item == kNoStateItem ? 0 : es.slice_end(st_slice);
-      for (uint32_t p = std::max(from, ctx.min_item); p < es.num_items();
-           ++p) {
+      const uint32_t from = SExtFrom(seq, st.item);
+      for (auto it = std::lower_bound(ctx.s_items.begin(), ctx.s_items.end(),
+                                      from);
+           it != ctx.s_items.end(); ++it) {
+        const uint32_t p = *it;
         const EndpointCode c = item_at(p);
         const EventId ev = EndpointEvent(c);
         if (ViolatesWindow(es, st, es.item_slice(p))) break;  // monotone

@@ -15,11 +15,24 @@
 //   IntroducesSymbol(code) / SymbolOf(code)     admission gating
 //   Stride() / ChildStride(code, i_ext)         aux-slice widths
 //   ScanState(ctx, seq, rec, aux, item_at, try_push)   candidate loops
+//   SExtFrom(seq, item) / SExtReachOf(code)     S-extension reach
 //   SelectSpan(span_view, keep)                 per-sequence dedup/dominance
 //   CanEmit / MakePattern / PatternLen / NumBlocks
 //   Apply / Undo (extension on the pattern stack)
 //   InPattern / PatternSymbols                  pair-pruning queries
 //   BeginNode / FlushNodeMetrics                per-node policy counters
+//
+// ScanState gets a GrowthScanCtx per span: whether the pattern may grow a
+// new slice/segment, and the ascending positions its S-extension loop walks
+// from lower_bound(SExtFrom(seq, state item)). The engine builds that list
+// in the pass that counts postfix symbols. It holds the positions whose key
+// admission may keep (less codes that introduce no symbol and that
+// SExtReachOf says are never pushed), and none whose key it rejects, except
+// while such a key is unseen in the node and SExtReachOf says reaching it
+// depends on the state. A rejected key that every state at or before its
+// position reaches (kAlways) is admitted by the pass itself, so candidate
+// and prune counts stay those of a full scan. The I-extension loops walk
+// every item of the state's own slice/segment.
 //
 // The engine is split into three layers (docs/ARCHITECTURE.md, "Scheduler /
 // worker / merger"):
@@ -78,6 +91,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -105,10 +119,23 @@
 
 namespace tpm {
 
-/// Node-scoped scan parameters handed to Policy::ScanState.
+/// Which states of a node an S-extension to a given code can reach, for a
+/// position at or after the state's Policy::SExtFrom.
+enum class SExtReach : uint8_t {
+  kNever,     ///< no state: the S-extension loop never pushes the code
+  kAlways,    ///< every state: nothing between `from` and the push can skip it
+  kPerState,  ///< it depends on the state (a window, a run-broken check, ...)
+};
+
+/// Span-scoped scan parameters handed to Policy::ScanState.
 struct GrowthScanCtx {
   bool allow_s_ext = false;  ///< may the pattern grow a new slice/segment?
-  uint32_t min_item = 0;     ///< first item index any state here can match
+  /// The positions the S-extension loops walk, ascending from the span's
+  /// first unmatched item: those whose key admission may keep, and those
+  /// with a rejected key the node has not counted yet whose reach depends
+  /// on the state. Every other position is either never pushed or pushes a
+  /// key admission rejects.
+  std::span<const uint32_t> s_items;
 };
 
 template <typename Policy>
@@ -305,6 +332,7 @@ class GrowthEngine {
   struct Bucket {
     uint32_t code = 0;
     bool i_ext = false;
+    uint32_t support = 0;  ///< staged span count, set before finalizing
     ProjectionBuilder builder;
   };
 
@@ -354,6 +382,7 @@ class GrowthEngine {
     // counted and silently undercount the postfix support.
     std::vector<uint64_t> seen_epoch;
     uint64_t epoch = 0;
+    std::vector<uint32_t> s_items;  ///< GrowthScanCtx::s_items of one span
     std::deque<NodeChildren> children;  ///< by depth; deque: stable addresses
 
     // Current work-item bindings (swapped per unit / sub-unit).
@@ -422,7 +451,9 @@ class GrowthEngine {
     uint32_t code = 0;
     bool i_ext = false;
     bool splittable = false;
-    const NodeProjection* view = nullptr;  ///< in the root's NodeChildren
+    uint32_t support = 0;
+    /// In the root's NodeChildren; finalized only when `support` >= minsup.
+    const NodeProjection* view = nullptr;
   };
 
   // The merged fate of one unit. `bank`/`delta` are written by the merger
@@ -611,12 +642,13 @@ class GrowthEngine {
       const uint32_t nitems = w.policy->NumItems(sp.seq);
 
       uint32_t min_item = ~0u;
+      uint32_t s_from = ~0u;  // the earliest S-extension start of any state
       for (uint32_t i = 0; i < sp.count; ++i) {
         const StateRec& r = proj.states[sp.offset + i];
         min_item =
             std::min(min_item, r.item == kNoStateItem ? 0 : r.item + 1);
+        s_from = std::min(s_from, w.policy->SExtFrom(sp.seq, r.item));
       }
-      ctx.min_item = min_item;
 
       // Baseline mode (TPrefixSpan / CTMiner): physically materialize this
       // node's postfix as (global item index, code) pairs and scan the copy.
@@ -633,17 +665,41 @@ class GrowthEngine {
         return w.policy->ItemCode(cur_seq, p);
       };
 
-      // Postfix symbol counting for the children's allowed set.
-      if (postfix_pruning_) {
-        const uint64_t epoch = ++w.epoch;
-        for (uint32_t p = min_item; p < nitems; ++p) {
-          const EventId ev = Policy::SymbolOf(item_at(p));
-          if (w.seen_epoch[ev] != epoch) {
-            w.seen_epoch[ev] = epoch;
-            ++w.postfix_count[ev];
+      // One pass over the postfix counts its symbols for the children's
+      // allowed set and lists the positions the S-extension loops walk. A
+      // position whose key admission rejects is left off the list: where
+      // every state at or before it reaches it, its key is admitted (and so
+      // counted and rejected) here; only the state-dependent ones stay on
+      // the list, until the node has counted their key.
+      const uint64_t epoch = postfix_pruning_ ? ++w.epoch : 0;
+      if (w.s_items.size() < nitems) w.s_items.resize(nitems);
+      uint32_t* listed = w.s_items.data();
+      uint32_t num_listed = 0;
+      for (uint32_t p = min_item; p < nitems; ++p) {
+        const uint32_t code = item_at(p);
+        const EventId ev = Policy::SymbolOf(code);
+        if (postfix_pruning_ && w.seen_epoch[ev] != epoch) {
+          w.seen_epoch[ev] = epoch;
+          ++w.postfix_count[ev];
+        }
+        if (!ctx.allow_s_ext) continue;
+        if (!Policy::IntroducesSymbol(code)) {
+          if (w.policy->SExtReachOf(code) != SExtReach::kNever) {
+            listed[num_listed++] = p;
+          }
+        } else if (allowed[ev]) {
+          listed[num_listed++] = p;
+        } else if (p >= s_from && w.key_slot[code << 1] == kUnseenKey) {
+          const SExtReach reach = w.policy->SExtReachOf(code);
+          if (reach == SExtReach::kAlways) {
+            const int32_t slot = AdmitKey(w, &nc, allowed, depth, code << 1);
+            TPM_DCHECK(slot == kRejectedKey);
+          } else if (reach == SExtReach::kPerState) {
+            listed[num_listed++] = p;
           }
         }
       }
+      ctx.s_items = std::span<const uint32_t>(listed, num_listed);
 
       for (uint32_t i = 0; i < sp.count; ++i) {
         const size_t state_index = sp.offset + i;
@@ -684,10 +740,16 @@ class GrowthEngine {
                 return a.code < b.code;
               });
 
+    // A bucket's staged span count bounds its support from above, so one
+    // below minsup is never walked and is not finalized: nothing reads its
+    // projection.
     Arena& child_arena = w.arenas->depth(depth + 1);
     nc.child_mark = child_arena.mark();
     for (uint32_t i : nc.order) {
-      const NodeProjection& view = nc.buckets[i].builder.Finalize(
+      Bucket& b = nc.buckets[i];
+      b.support = b.builder.num_spans();
+      if (b.support < minsup_) continue;
+      const NodeProjection& view = b.builder.Finalize(
           [&w](const ProjectionBuilder::SpanView& v,
                std::vector<uint32_t>* keep) {
             w.policy->SelectSpan(v, keep);
@@ -758,10 +820,9 @@ class GrowthEngine {
     for (uint32_t i : nc->order) {
       if (w.guard->stopped()) break;
       const Bucket& b = nc->buckets[i];
-      const NodeProjection& view = b.builder.view();
-      if (view.num_spans < minsup_) continue;
+      if (b.support < minsup_) continue;
       w.policy->Apply(b.code, b.i_ext);
-      ExpandSubtree(w, view, nc->child_allowed, depth + 1);
+      ExpandSubtree(w, b.builder.view(), nc->child_allowed, depth + 1);
       w.policy->Undo(b.code, b.i_ext);
     }
     ReleaseNode(w, nc, depth);
@@ -798,6 +859,7 @@ class GrowthEngine {
       u.code = b.code;
       u.i_ext = b.i_ext;
       u.key = (static_cast<uint64_t>(b.code) << 1) | (b.i_ext ? 1 : 0);
+      u.support = b.support;
       u.view = &b.builder.view();
       by_key.emplace_back(u.key, units_.size());
       units_.push_back(u);
@@ -808,7 +870,7 @@ class GrowthEngine {
     for (size_t i = 0; i < units_.size(); ++i) {
       wu[i].id = i;
       wu[i].key = units_[i].key;
-      wu[i].weight = units_[i].view->num_spans;
+      wu[i].weight = units_[i].support;
     }
     // Thread-count independent: the split set depends only on the
     // projection sizes, so the work-item set (and every per-unit metrics
@@ -849,7 +911,7 @@ class GrowthEngine {
         if (progress_ != nullptr) progress_->NoteBucketDone();
         continue;
       }
-      if (units_[i].view->num_spans < minsup_) {
+      if (units_[i].support < minsup_) {
         if (progress_ != nullptr) progress_->NoteBucketDone();
         UnitOutcome& o = outcomes_[i];
         o.delivered = true;
@@ -861,7 +923,7 @@ class GrowthEngine {
       WorkUnit wu;
       wu.id = i;
       wu.key = units_[i].key;
-      wu.weight = units_[i].view->num_spans;
+      wu.weight = units_[i].support;
       wu.splittable = units_[i].splittable;
       pending.push_back(wu);
     }
@@ -1058,12 +1120,11 @@ class GrowthEngine {
     std::vector<void*> published;
     for (uint32_t i : nc.order) {
       const Bucket& b = nc.buckets[i];
-      const NodeProjection& view = b.builder.view();
-      if (view.num_spans < minsup_) continue;
+      if (b.support < minsup_) continue;
       Item& s = subs->emplace_back();
       s.unit_id = parent.unit_id;
       s.unit = parent.unit;
-      s.view = &view;
+      s.view = &b.builder.view();
       s.allowed = &nc.child_allowed;
       s.path = parent.path;
       s.path.emplace_back(b.code, b.i_ext);
