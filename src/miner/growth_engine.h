@@ -9,7 +9,7 @@
 // recursion driver — is identical. GrowthEngine<Policy> owns all of that;
 // the policy contributes the language-specific pieces:
 //
-//   using PatternT / ResultT / ConfigT
+//   using PatternT / ResultT
 //   kBuildSpanName / kGrowSpanName / kFaultMessage
 //   Build(db) -> representation bytes;  NumSeqs / NumItems / ItemCode
 //   IntroducesSymbol(code) / SymbolOf(code)     admission gating
@@ -38,32 +38,33 @@
 // worker / merger"):
 //
 //   scheduler  The root-node scan produces the level-1 buckets in the
-//              deterministic child order; miner/scheduler.h freezes that
-//              order into work units whose id IS the bucket index, so a
-//              unit means the same subtree for every thread count and every
-//              checkpoint ever written. A heavyweight unit (a decision on
-//              projection sizes only) is split: its root's frequent
-//              children become sub-units, and so do theirs, down to
-//              kMaxSplitDepth, so the work-item set never depends on the
-//              thread count.
+//              deterministic child order. Each is a work unit whose id IS
+//              the bucket index, so a unit means the same subtree for every
+//              thread count and every checkpoint ever written; the units
+//              are queued (miner/scheduler.h) as items rooted at depth 1. A
+//              heavyweight unit (a decision on projection sizes only) is
+//              split: its root's frequent children become items one level
+//              deeper, and so do theirs, down to kMaxSplitDepth, so the
+//              work-item set never depends on the thread count.
 //
 //   workers    Each worker owns a full WorkerCtx: a copy of the built
 //              policy (cheap — the language representation is shared via
 //              shared_ptr), its own MemoryTracker, ProjectionArenas,
 //              ExecutionGuard, child-key table, per-depth child storage and
 //              postfix-count scratch. Every unit is mined against its own
-//              StatsDomain; the sub-units of a split unit charge it from
+//              MetricsRegistry; the items of a split unit charge it from
 //              whichever worker runs them, through the registry's lock-free
-//              sharded cells. With --threads=1 the same loop runs inline on
-//              the calling thread.
+//              sharded cells. Worker 0 is the calling thread at every
+//              thread count; --threads=N spawns N - 1 more.
 //
 //   merger     Workers deliver finished units (pattern bank + metrics
-//              delta) through a single mutex-guarded inbox; the calling
-//              thread folds them through the MergeDomainSnapshots contract
-//              (sorted, commutative folds), advances the checkpoint
-//              frontier, and assembles the final pattern list in unit-id
-//              order — so the output is byte-identical for any thread
-//              count and any completion order.
+//              delta) through a single mutex-guarded inbox; worker 0, between
+//              items and while it waits, folds them, advances the checkpoint
+//              frontier and emits progress. Metrics fold through the
+//              MergeDomainSnapshots contract (sorted, commutative folds) and
+//              the final pattern list is assembled in unit-id order — so the
+//              output is byte-identical for any thread count and any
+//              completion order.
 //
 // Stop propagation is lock-free: every guard's on_stop funnels into a CAS
 // on first_stop_reason_ plus a stop flag every worker polls, so a pattern
@@ -91,6 +92,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -142,11 +144,10 @@ template <typename Policy>
 class GrowthEngine {
  public:
   using ResultT = typename Policy::ResultT;
-  using ConfigT = typename Policy::ConfigT;
   using PatternT = typename Policy::PatternT;
 
   GrowthEngine(const IntervalDatabase& db, const MinerOptions& options,
-               const ConfigT& config)
+               const GrowthConfig& config)
       : db_(db),
         options_(options),
         config_(config),
@@ -160,7 +161,7 @@ class GrowthEngine {
         om_(MinerMetrics::ForRegistry(&domain_->registry())),
         progress_(options.progress),
         arenas_(&tracker_) {
-    if (config_.force_disable_prunings) {
+    if (config_.physical_baseline) {
       pair_pruning_ = false;
       postfix_pruning_ = false;
     } else {
@@ -229,11 +230,15 @@ class GrowthEngine {
     out_ = &result;
     SeedFromResume();
 
+    // Progress slot 0 is the root context's; worker i charges slot i + 1.
+    const uint32_t nthreads = options_.threads > 0 ? options_.threads : 1;
+    if (progress_ != nullptr) progress_->ConfigureSlots(nthreads + 1);
+
     // The calling thread's context: the root node is expanded against the
     // engine-owned policy/tracker/arenas/guard, charging the run domain —
-    // exactly the single-thread preamble every thread count shares.
+    // exactly the single-thread preamble every thread count shares. Its
+    // pattern count starts at the resumed patterns, so progress counts them.
     WorkerCtx root_ctx;
-    root_ctx.id = 0;
     root_ctx.policy = &policy_;
     root_ctx.tracker = &tracker_;
     root_ctx.arenas = &arenas_;
@@ -242,13 +247,11 @@ class GrowthEngine {
     root_ctx.om = om_;
     Bank root_bank;
     root_ctx.bank = &root_bank;
-    root_ctx.inline_progress = true;
+    root_ctx.patterns_emitted = patterns_total_.load(std::memory_order_relaxed);
 
     NodeChildren* root_nc = ExpandNode(root_ctx, root, allowed, 0);
     if (root_nc != nullptr) {
       BuildUnits(*root_nc);
-      root_child_allowed_ = &root_nc->child_allowed;
-      total_units_ = units_.size();
       if (progress_ != nullptr) progress_->SetTotalBuckets(units_.size());
     }
     // Metrics watershed: everything charged to the run domain so far
@@ -267,9 +270,10 @@ class GrowthEngine {
     }
 
     if (root_nc != nullptr) {
-      RunUnits(root_ctx);
+      RunUnits(root_ctx, nthreads);
       ReleaseNode(root_ctx, root_nc, 0);
     }
+    TickProgress(root_ctx);
 
     const StopReason stop_reason = static_cast<StopReason>(
         first_stop_reason_.load(std::memory_order_relaxed));
@@ -322,10 +326,6 @@ class GrowthEngine {
   }
 
  private:
-  // Per-unit flight recorders are small: a unit's postmortem value is its
-  // merged counters, and the run domain keeps the run-scoped milestones.
-  static constexpr size_t kUnitFlightCapacity = 32;
-
   using Bank = std::vector<MinedPattern<PatternT>>;
 
   // One candidate extension's child projection under construction.
@@ -343,9 +343,9 @@ class GrowthEngine {
   // A node's finalized children. Each context keeps one per depth and every
   // node it expands at that depth reuses it, so the vectors keep their
   // capacity. It is live from ExpandNode to ReleaseNode: the views and
-  // `child_allowed` that the subtree walk, the root's unit table
-  // (UnitInfo::view) or a split node's sub-units (Item::view) read stay
-  // valid exactly that long. ReleaseNode undoes the postfix-copy charge and
+  // `child_allowed` that the subtree walk, the root's units or a split
+  // node's sub-units (Item::view, Item::allowed) read stay valid exactly
+  // that long. ReleaseNode undoes the postfix-copy charge and
   // rewinds the child-depth arena.
   struct NodeChildren {
     std::vector<Bucket> buckets;  ///< in first-seen order
@@ -385,22 +385,17 @@ class GrowthEngine {
     std::vector<uint32_t> s_items;  ///< GrowthScanCtx::s_items of one span
     std::deque<NodeChildren> children;  ///< by depth; deque: stable addresses
 
-    // Current work-item bindings (swapped per unit / sub-unit).
+    // Current work-item bindings (swapped per item).
     MinerMetrics om{};
     Bank* bank = nullptr;
 
-    // Cumulative counters, folded into MiningStats after the join.
+    // Cumulative counters, folded into MiningStats after the join and
+    // published to the context's progress slot.
     uint64_t nodes = 0;
     uint64_t states = 0;
     uint64_t cands = 0;
     uint64_t patterns_emitted = 0;
-
-    // Progress plumbing: the inline path reports run totals through
-    // TickNode exactly like the single-thread engine always did; parallel
-    // workers publish their own totals into a padded slot instead.
-    bool inline_progress = false;
-    uint64_t node_base = 0;
-    size_t bytes_base = 0;
+    uint32_t progress_slot = 0;
 
     // Scheduling attribution (miner.worker.*); null for the root context.
     obs::Histogram* attr_nodes = nullptr;
@@ -424,9 +419,9 @@ class GrowthEngine {
     WorkerSlot(GrowthEngine* e, uint32_t id)
         : policy(e->policy_),
           arenas(&tracker),
-          guard(e->MakeWorkerLimits(), &tracker),
-          attribution(StringPrintf("worker-%u", id)) {
+          guard(e->MakeWorkerLimits(), &tracker) {
       ctx.id = id;
+      ctx.progress_slot = id + 1;
       ctx.policy = &policy;
       ctx.tracker = &tracker;
       ctx.arenas = &arenas;
@@ -441,19 +436,8 @@ class GrowthEngine {
     MemoryTracker tracker;
     ProjectionArenas arenas;
     ExecutionGuard guard;
-    obs::StatsDomain attribution;  // worker-<id>: miner.worker.* histograms
+    obs::MetricsRegistry attribution;  // worker-<id>: miner.worker.*
     WorkerCtx ctx;
-  };
-
-  // One depth-0 subtree, in deterministic bucket order (unit id == index).
-  struct UnitInfo {
-    uint64_t key = 0;  ///< (code << 1) | i_ext — the checkpoint unit key
-    uint32_t code = 0;
-    bool i_ext = false;
-    bool splittable = false;
-    uint32_t support = 0;
-    /// In the root's NodeChildren; finalized only when `support` >= minsup.
-    const NodeProjection* view = nullptr;
   };
 
   // The merged fate of one unit. `bank`/`delta` are written by the merger
@@ -502,39 +486,37 @@ class GrowthEngine {
     std::atomic<uint32_t> remaining{0};
   };
 
-  // A unit's metrics domain, shared by every item of the unit: sub-units
-  // may run on other workers and charge the unit's registry directly (its
-  // cells are lock-free sharded atomics, and every fold is a sum). Only the
-  // unit's owner records flight events and takes the snapshot, after every
-  // item has joined.
-  struct UnitDomain {
-    explicit UnitDomain(uint64_t unit_id)
-        : domain(StringPrintf("unit-%llu",
-                              static_cast<unsigned long long>(unit_id)),
-                 kUnitFlightCapacity),
-          om(MinerMetrics::ForRegistry(&domain.registry())),
+  // A unit's metrics, shared by every item of the unit: sub-units may run
+  // on other workers and charge the unit's registry directly (its cells are
+  // lock-free sharded atomics, and every fold is a sum). The unit's own item
+  // snapshots it, after every item has joined.
+  struct UnitMetrics {
+    UnitMetrics()
+        : om(MinerMetrics::ForRegistry(&registry)),
           // Work-item sizes: the nodes each item expanded itself (a split
           // item's root only) and the depth of its root.
-          item_nodes(domain.GetHistogram("miner.item.nodes",
-                                         obs::ExponentialBounds(1, 4.0, 12))),
+          item_nodes(registry.GetHistogram("miner.item.nodes",
+                                           obs::ExponentialBounds(1, 4.0, 12))),
           item_depth(
-              domain.GetHistogram("miner.item.depth",
-                                  obs::LinearBounds(1, 1, kMaxSplitDepth))) {}
-    obs::StatsDomain domain;
+              registry.GetHistogram("miner.item.depth",
+                                    obs::LinearBounds(1, 1, kMaxSplitDepth))) {}
+    obs::MetricsRegistry registry;
     MinerMetrics om;
     obs::Histogram* item_nodes;
     obs::Histogram* item_depth;
   };
 
-  // One work item: a whole unit (root depth 1) or a sub-unit of a split
-  // node. The root's view and allowed set live in the parent's arenas and
-  // NodeChildren (the root context's, for a unit), which stay live until
-  // the item has joined. The outputs are written by whoever mined the item;
-  // for a sub-unit that happens before its release-decrement on `join`, and
-  // the parent reads them after its acquire-load observes zero.
+  // One work item: a whole unit (root depth 1, no `join`; units_[unit_id])
+  // or a sub-unit of a split node. The root's view and allowed set live in
+  // the parent's arenas and NodeChildren (the root context's, for a unit),
+  // which stay live until the item has joined. The outputs are written by
+  // whoever mined the item; for a sub-unit that happens before its
+  // release-decrement on `join`, and the parent reads them after its
+  // acquire-load observes zero.
   struct Item {
     uint64_t unit_id = 0;
-    UnitDomain* unit = nullptr;
+    UnitMetrics* unit = nullptr;  ///< the unit's, while the unit is mined
+    /// Null for a unit below minsup: never finalized, never mined.
     const NodeProjection* view = nullptr;
     const std::vector<uint8_t>* allowed = nullptr;
     /// (code, i_ext) replay from the search root; its length is the depth
@@ -563,14 +545,8 @@ class GrowthEngine {
 
   void TickProgress(WorkerCtx& w) {
     if (progress_ == nullptr) return;
-    if (w.inline_progress) {
-      progress_->TickNode(w.node_base + w.nodes,
-                          patterns_total_.load(std::memory_order_relaxed),
-                          w.bytes_base + w.tracker->current_bytes());
-    } else {
-      progress_->TickWorker(w.id, w.nodes, w.patterns_emitted,
-                            w.tracker->current_bytes());
-    }
+    progress_->Tick(w.progress_slot, w.nodes, w.patterns_emitted,
+                    w.tracker->current_bytes());
   }
 
   /// Expands one node: charges it, emits when the policy deems the pattern
@@ -653,7 +629,7 @@ class GrowthEngine {
       // Baseline mode (TPrefixSpan / CTMiner): physically materialize this
       // node's postfix as (global item index, code) pairs and scan the copy.
       std::vector<std::pair<uint32_t, uint32_t>> copy;
-      if (config_.physical_projection) {
+      if (config_.physical_baseline) {
         copy.reserve(nitems - min_item);
         for (uint32_t p = min_item; p < nitems; ++p) {
           copy.emplace_back(p, w.policy->ItemCode(sp.seq, p));
@@ -661,7 +637,7 @@ class GrowthEngine {
         nc.copies_bytes += copy.capacity() * sizeof(copy[0]);
       }
       auto item_at = [&](uint32_t p) -> uint32_t {
-        if (config_.physical_projection) return copy[p - min_item].second;
+        if (config_.physical_baseline) return copy[p - min_item].second;
         return w.policy->ItemCode(cur_seq, p);
       };
 
@@ -848,37 +824,35 @@ class GrowthEngine {
 
   // ---- Scheduler layer -------------------------------------------------
 
+  /// `(code << 1) | i_ext` of the unit's root: the checkpoint unit key.
+  static uint64_t UnitKey(const Item& unit) {
+    return (static_cast<uint64_t>(unit.path[0].first) << 1) |
+           (unit.path[0].second ? 1 : 0);
+  }
+
   /// Freezes the root's bucket walk into the deterministic unit table and
   /// transfers resumed unit banks onto their units.
   void BuildUnits(const NodeChildren& root_nc) {
     std::vector<std::pair<uint64_t, size_t>> by_key;  // sorted: resume lookup
+    std::vector<uint64_t> weights;
     units_.reserve(root_nc.order.size());
     for (uint32_t i : root_nc.order) {
       const Bucket& b = root_nc.buckets[i];
-      UnitInfo u;
-      u.code = b.code;
-      u.i_ext = b.i_ext;
-      u.key = (static_cast<uint64_t>(b.code) << 1) | (b.i_ext ? 1 : 0);
-      u.support = b.support;
-      u.view = &b.builder.view();
-      by_key.emplace_back(u.key, units_.size());
-      units_.push_back(u);
+      Item& u = units_.emplace_back();
+      u.unit_id = units_.size() - 1;
+      if (b.support >= minsup_) u.view = &b.builder.view();
+      u.allowed = &root_nc.child_allowed;
+      u.path.emplace_back(b.code, b.i_ext);
+      by_key.emplace_back(UnitKey(u), u.unit_id);
+      weights.push_back(b.support);
     }
     std::sort(by_key.begin(), by_key.end());
     outcomes_.resize(units_.size());
-    std::vector<WorkUnit> wu(units_.size());
-    for (size_t i = 0; i < units_.size(); ++i) {
-      wu[i].id = i;
-      wu[i].key = units_[i].key;
-      wu[i].weight = units_[i].support;
-    }
     // Thread-count independent: the split set depends only on the
     // projection sizes, so the work-item set (and every per-unit metrics
     // delta) is the same for any --threads.
-    MarkSplittableUnits(&wu, minsup_);
-    for (size_t i = 0; i < units_.size(); ++i) {
-      units_[i].splittable = wu[i].splittable;
-    }
+    const std::vector<bool> split = MarkSplittableUnits(weights, minsup_);
+    for (size_t i = 0; i < units_.size(); ++i) units_[i].split = split[i];
     // Attach resumed banks to their units; a key with no bucket (possible
     // only for a tampered-but-CRC-valid checkpoint) stays orphaned and is
     // still carried through result assembly and checkpoint writes.
@@ -899,20 +873,21 @@ class GrowthEngine {
     orphan_units_.swap(leftovers);
   }
 
-  /// The unit phase: pre-pass trivial units on the calling thread, then
-  /// drain the scheduler inline (--threads=1) or across worker threads
-  /// with the calling thread merging.
-  void RunUnits(WorkerCtx& root_ctx) {
-    std::vector<WorkUnit> pending;
+  /// The unit phase: settles resumed and infrequent units on the calling
+  /// thread, queues the rest as items rooted at depth 1, and drains the
+  /// queue with worker 0 on the calling thread and `nthreads - 1` spawned
+  /// workers.
+  void RunUnits(WorkerCtx& root_ctx, uint32_t nthreads) {
+    std::vector<void*> pending;
     for (size_t i = 0; i < units_.size(); ++i) {
       if (outcomes_[i].delivered) {
         // Seeded from the checkpoint: re-expanding would double-count both
         // the patterns and the metrics.
-        if (progress_ != nullptr) progress_->NoteBucketDone();
+        NoteBucketDone(root_ctx);
         continue;
       }
-      if (units_[i].support < minsup_) {
-        if (progress_ != nullptr) progress_->NoteBucketDone();
+      if (units_[i].view == nullptr) {
+        NoteBucketDone(root_ctx);
         UnitOutcome& o = outcomes_[i];
         o.delivered = true;
         o.complete = true;
@@ -920,122 +895,72 @@ class GrowthEngine {
         if (!ckpt_status_.ok()) return;
         continue;
       }
-      WorkUnit wu;
-      wu.id = i;
-      wu.key = units_[i].key;
-      wu.weight = units_[i].support;
-      wu.splittable = units_[i].splittable;
-      pending.push_back(wu);
+      pending.push_back(&units_[i]);
     }
     if (pending.empty()) return;
-    scheduler_.Reset(std::move(pending));
-    open_items_.store(scheduler_units_pending(), std::memory_order_relaxed);
+    open_items_.store(pending.size(), std::memory_order_relaxed);
+    scheduler_.Push(1, pending);
 
-    const uint32_t nthreads = options_.threads > 0 ? options_.threads : 1;
     std::deque<WorkerSlot> slots;
-    if (nthreads <= 1) {
-      slots.emplace_back(this, 0u);
-      WorkerCtx& w = slots.back().ctx;
-      w.inline_progress = true;
-      w.node_base = root_ctx.nodes;
-      w.bytes_base = tracker_.current_bytes();
-      WorkerLoop(w, /*inline_merge=*/true);
-      MergeDeliveries();
-    } else {
-      if (progress_ != nullptr) progress_->ConfigureWorkers(nthreads);
-      for (uint32_t i = 0; i < nthreads; ++i) slots.emplace_back(this, i);
-      std::vector<std::thread> crew;
-      crew.reserve(nthreads);
-      for (uint32_t i = 0; i < nthreads; ++i) {
-        WorkerCtx* w = &slots[i].ctx;
-        crew.emplace_back([this, w] { WorkerLoop(*w, false); });
-      }
-      // Merger loop: fold deliveries, advance the checkpoint frontier, and
-      // keep the progress line moving until the queue drains or a stop
-      // (guard trip, SIGINT, checkpoint failure) winds the crew down.
-      while (open_items_.load(std::memory_order_acquire) > 0 &&
-             !stop_flag_.load(std::memory_order_relaxed)) {
-        MergeDeliveries();
-        if (progress_ != nullptr) progress_->PollEmit();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      for (std::thread& t : crew) t.join();
-      MergeDeliveries();
+    for (uint32_t i = 0; i < nthreads; ++i) slots.emplace_back(this, i);
+    std::vector<std::thread> crew;
+    crew.reserve(nthreads - 1);
+    for (uint32_t i = 1; i < nthreads; ++i) {
+      WorkerCtx* w = &slots[i].ctx;
+      crew.emplace_back([this, w] { WorkerLoop(*w); });
     }
+    WorkerLoop(slots[0].ctx);
+    for (std::thread& t : crew) t.join();
+    MergeDeliveries();
     for (WorkerSlot& s : slots) {
+      TickProgress(s.ctx);  // the exact totals, for the final snapshot
       worker_nodes_ += s.ctx.nodes;
       worker_states_ += s.ctx.states;
       worker_cands_ += s.ctx.cands;
       worker_peak_ += s.tracker.peak_bytes();
       worker_arena_bytes_ += s.arenas.total_allocated_bytes();
       worker_arena_blocks_ += s.arenas.total_blocks();
-      attr_parts_.push_back(s.attribution.TakeSnapshot());
+      attr_parts_.push_back({StringPrintf("worker-%u", s.ctx.id),
+                             s.attribution.Snapshot()});
     }
   }
 
-  uint64_t scheduler_units_pending() { return scheduler_.units_pending(); }
-
-  void WorkerLoop(WorkerCtx& w, bool inline_merge) {
+  /// Claims and mines items until every item is done or a stop winds the
+  /// crew down.
+  void WorkerLoop(WorkerCtx& w) {
     while (!w.guard->stopped() &&
            !stop_flag_.load(std::memory_order_relaxed)) {
-      WorkItem item;
-      if (scheduler_.TryNext(&item)) {
-        ProcessItem(w, item);
-        if (inline_merge) {
-          MergeDeliveries();
-          if (!ckpt_status_.ok()) return;
-        }
+      if (void* item = scheduler_.TryNext()) {
+        ProcessItem(w, *static_cast<Item*>(item));
       } else if (open_items_.load(std::memory_order_acquire) == 0) {
         break;
       } else {
         // Another worker is splitting a node (its subs are not published
         // yet) or the tail items are in flight elsewhere.
+        ServeMerger(w);
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
   }
 
-  void ProcessItem(WorkerCtx& w, const WorkItem& item) {
-    if (item.kind == WorkItem::Kind::kUnit) {
-      MineUnit(w, item.unit_id);
-    } else {
-      Item& sub = *static_cast<Item*>(item.sub);
-      MineItem(w, sub);
-      // Release-decrement publishes the outputs and the sub-unit's metric
-      // charges to the parent's acquire-load in MineItem; `sub` may be gone
-      // right after.
-      sub.join->remaining.fetch_sub(1, std::memory_order_release);
-    }
-    open_items_.fetch_sub(1, std::memory_order_release);
+  /// Worker 0 is the calling thread: between items and while it waits, it
+  /// folds deliveries (advancing the checkpoint frontier) and emits
+  /// progress.
+  void ServeMerger(WorkerCtx& w) {
+    if (w.id != 0) return;
+    MergeDeliveries();
+    if (progress_ != nullptr) progress_->PollEmit();
   }
 
-  void MineUnit(WorkerCtx& w, uint64_t unit_id) {
-    const UnitInfo& u = units_[unit_id];
-    UnitDomain ud(unit_id);
-    ud.domain.RecordEvent("bucket", u.code, u.i_ext ? 1 : 0);
-    Item unit;
-    unit.unit_id = unit_id;
-    unit.unit = &ud;
-    unit.view = u.view;
-    unit.allowed = root_child_allowed_;
-    unit.path.emplace_back(u.code, u.i_ext);
-    unit.split = u.splittable;
-    MineItem(w, unit);
-    if (unit.complete) {
-      ud.domain.RecordEvent("unit.done", unit_id, unit.bank.size());
-    }
-    // Pattern-count watermarks, one per 1024 patterns of the unit. They are
-    // charged once the unit is assembled, so their count is the same however
-    // the unit was split.
-    for (size_t n = 1024; n <= unit.bank.size(); n += 1024) {
-      ud.domain.RecordEvent("patterns", n, unit_id);
-    }
-    ud.domain.GetGauge("miner.item.max_nodes")
-        ->Set(static_cast<int64_t>(unit.max_nodes));
-    DeliverUnit(unit_id, unit.complete, std::move(unit.bank),
-                ud.domain.TakeSnapshot().snapshot);
-    NoteUnitProgress(w);
-    if (unit.complete) NoteUnitAttribution(w);
+  void ProcessItem(WorkerCtx& w, Item& it) {
+    SplitState* join = it.join;
+    MineItem(w, it);
+    // Release-decrement publishes a sub-unit's outputs and metric charges
+    // to the parent's acquire-load in MineItem; `it` may be gone right
+    // after.
+    if (join != nullptr) join->remaining.fetch_sub(1, std::memory_order_release);
+    open_items_.fetch_sub(1, std::memory_order_release);
+    ServeMerger(w);
   }
 
   // Saved per-item bindings so nested items (a split node's owner helping
@@ -1062,8 +987,11 @@ class GrowthEngine {
   /// live in ChildrenAt(depth) and the arena at depth + 1, which nothing it
   /// may claim touches. It then appends the children's banks in child
   /// order, so a split item is indistinguishable from one mined in a single
-  /// piece.
+  /// piece. An item with no `join` is a whole unit: it owns the metrics all
+  /// of the unit's items charge, and delivers them with its bank.
   void MineItem(WorkerCtx& w, Item& it) {
+    std::optional<UnitMetrics> unit;
+    if (it.join == nullptr) it.unit = &unit.emplace();
     Bank bank;
     const ItemBinding saved = BindItem(w, it.unit->om, &bank);
     const uint32_t depth = static_cast<uint32_t>(it.path.size());
@@ -1092,10 +1020,10 @@ class GrowthEngine {
     // when a stop tripped: a stopped crew unwinds items fast, and the join
     // must complete before this context may rewind the children's arena.
     while (join.remaining.load(std::memory_order_acquire) > 0) {
-      WorkItem item;
-      if (scheduler_.TryNext(&item, depth)) {
-        ProcessItem(w, item);
+      if (void* item = scheduler_.TryNext(depth)) {
+        ProcessItem(w, *static_cast<Item*>(item));
       } else {
+        ServeMerger(w);
         std::this_thread::sleep_for(std::chrono::microseconds(20));
       }
     }
@@ -1111,6 +1039,7 @@ class GrowthEngine {
       Bank().swap(s.bank);
     }
     it.bank = std::move(bank);
+    if (unit.has_value()) DeliverUnit(w, it);
   }
 
   /// Publishes the frequent children of a split item's root, in child
@@ -1136,42 +1065,37 @@ class GrowthEngine {
     join->remaining.store(static_cast<uint32_t>(published.size()),
                           std::memory_order_release);
     open_items_.fetch_add(published.size(), std::memory_order_relaxed);
-    scheduler_.PushSubs(parent.unit_id,
-                        static_cast<uint32_t>(parent.path.size()) + 1,
-                        published);
+    scheduler_.Push(static_cast<uint32_t>(parent.path.size()) + 1, published);
   }
 
-  void NoteUnitProgress(WorkerCtx& w) {
-    if (progress_ == nullptr) return;
-    if (w.inline_progress) {
-      progress_->NoteBucketDone();
-    } else {
-      progress_->NoteWorkerBucketDone(w.id);
-    }
-  }
-
-  void NoteUnitAttribution(WorkerCtx& w) {
-    if (w.attr_units != nullptr) w.attr_units->Observe(w.id);
+  void NoteBucketDone(WorkerCtx& w) {
+    if (progress_ != nullptr) progress_->NoteBucketDone(w.progress_slot);
   }
 
   // ---- Merger layer ----------------------------------------------------
 
-  void DeliverUnit(uint64_t unit_id, bool complete,
-                   Bank bank,
-                   obs::MetricsSnapshot delta) {
+  /// Hands a finished unit's bank and metrics to the merger.
+  void DeliverUnit(WorkerCtx& w, Item& unit) {
+    unit.unit->registry.GetGauge("miner.item.max_nodes")
+        ->Set(static_cast<int64_t>(unit.max_nodes));
     UnitDelivery d;
-    d.unit_id = unit_id;
-    d.complete = complete;
-    d.bank = std::move(bank);
-    d.delta = std::move(delta);
+    d.unit_id = unit.unit_id;
+    d.complete = unit.complete;
+    d.bank = std::move(unit.bank);
+    d.delta = unit.unit->registry.Snapshot();
+    unit.unit = nullptr;
     // Tier E seam: delivery timing relative to other workers and the merger
     // must not matter (util/sched_test.h).
     TPM_TEST_YIELD("miner.unit.deliver");
-    MutexLock lock(&inbox_.mu);
-    inbox_.items.push_back(std::move(d));
+    {
+      MutexLock lock(&inbox_.mu);
+      inbox_.items.push_back(std::move(d));
+    }
+    NoteBucketDone(w);
+    if (unit.complete && w.attr_units != nullptr) w.attr_units->Observe(w.id);
   }
 
-  /// Calling-thread only: folds delivered units into the outcome table and
+  /// Worker 0 only: folds delivered units into the outcome table and
   /// advances the checkpoint frontier. Incomplete (stop-truncated) units
   /// keep their partial bank for the result but are never checkpointed.
   void MergeDeliveries() {
@@ -1308,18 +1232,18 @@ class GrowthEngine {
     CheckpointRunKey key;
     key.db_fingerprint = FingerprintDatabase(db_);
     key.language = kIsEndpoint ? "endpoint" : "coincidence";
-    key.algo = config_.physical_projection ? "growth-physical" : "growth";
+    key.algo = config_.physical_baseline ? "growth-physical" : "growth";
     key.min_support = options_.min_support;
     key.max_items = options_.max_items;
     key.max_length = options_.max_length;
     key.max_window = options_.max_window;
-    // Effective pruning decisions (post force_disable_prunings), not the raw
+    // Effective pruning decisions (none for a physical baseline), not the raw
     // option bits: only toggles that change the search shape block a resume.
     // Coincidence mining ignores validity pruning entirely, so the flag is
     // canonicalized to false there.
     key.pair_pruning = pair_pruning_;
     key.postfix_pruning = postfix_pruning_;
-    key.validity_pruning = kIsEndpoint && !config_.force_disable_prunings &&
+    key.validity_pruning = kIsEndpoint && !config_.physical_baseline &&
                            options_.validity_pruning;
     return key;
   }
@@ -1363,7 +1287,9 @@ class GrowthEngine {
     for (const ResumeUnit& r : orphan_units_) done.push_back({r.key, &r.bank});
     for (size_t i = 0; i < outcomes_.size(); ++i) {
       const UnitOutcome& o = outcomes_[i];
-      if (o.delivered && o.complete) done.push_back({units_[i].key, &o.bank});
+      if (o.delivered && o.complete) {
+        done.push_back({UnitKey(units_[i]), &o.bank});
+      }
     }
     // Ascending unit key: completion (and thread-count) independent bytes.
     std::sort(done.begin(), done.end(),
@@ -1372,7 +1298,7 @@ class GrowthEngine {
               });
     Checkpoint ckpt;
     ckpt.key = run_key_;
-    ckpt.total_units = total_units_;
+    ckpt.total_units = units_.size();
     size_t npat = 0;
     for (const DoneUnit& d : done) npat += d.bank->size();
     ckpt.completed_units.reserve(done.size());
@@ -1399,7 +1325,7 @@ class GrowthEngine {
 
   const IntervalDatabase& db_;
   const MinerOptions& options_;
-  const ConfigT& config_;
+  const GrowthConfig& config_;
   const SupportCount minsup_;
   bool pair_pruning_ = false;
   bool postfix_pruning_ = false;
@@ -1458,9 +1384,8 @@ class GrowthEngine {
   // --- Scheduler / worker / merger state ---
   WorkScheduler scheduler_;
   DeliveryInbox inbox_;
-  std::vector<UnitInfo> units_;
+  std::vector<Item> units_;  ///< unit id == index; built once, never resized
   std::vector<UnitOutcome> outcomes_;
-  const std::vector<uint8_t>* root_child_allowed_ = nullptr;
   std::atomic<uint64_t> open_items_{0};
   std::atomic<bool> stop_flag_{false};
   std::atomic<int> first_stop_reason_{0};
@@ -1480,7 +1405,6 @@ class GrowthEngine {
   std::vector<ResumeUnit> orphan_units_;
   obs::MetricsSnapshot obs_start_;
   obs::MetricsSnapshot preamble_end_;
-  uint64_t total_units_ = 0;
   double boundary_elapsed_ = 0.0;
   size_t last_ckpt_units_ = 0;
   size_t last_ckpt_patterns_ = 0;

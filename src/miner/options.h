@@ -74,7 +74,8 @@ struct MinerOptions {
   obs::StatsDomain* stats_domain = nullptr;
 
   /// Live progress/ETA sink (obs/progress.h): ticked per expanded node and
-  /// fed the level-1 bucket totals; the miner calls Finish() at run end.
+  /// fed the level-1 bucket totals; the growth miners call Finish() at run
+  /// end.
   /// Null disables progress tracking (zero hot-path cost). Must outlive the
   /// Mine() call. Not owned.
   obs::ProgressTracker* progress = nullptr;
@@ -105,11 +106,12 @@ struct MinerOptions {
   }
 
   /// Worker threads for the growth engines' unit phase
-  /// (docs/ARCHITECTURE.md, "Scheduler / worker / merger"). 1 (the default)
-  /// mines every unit inline on the calling thread; N > 1 spawns N workers
-  /// that each own their arenas/guard/stats and drain the shared work-unit
-  /// queue, with the calling thread merging completed units. Output is
-  /// byte-identical for every value. Level-wise miners ignore this.
+  /// (docs/ARCHITECTURE.md, "Scheduler / worker / merger"). The calling
+  /// thread is worker 0 and N - 1 more are spawned; each worker owns its
+  /// arenas/guard/stats and drains the shared work-item queue, and worker 0
+  /// also merges completed units between items. 1 (the default) runs the
+  /// same code with no spawned thread. Output is byte-identical for every
+  /// value. Level-wise miners ignore this.
   uint32_t threads = 1;
 
   /// Ignored (splitting is always on); kept because perfbench assigns it.
@@ -119,6 +121,15 @@ struct MinerOptions {
   bool pair_pruning = true;
   bool postfix_pruning = true;
   bool validity_pruning = true;
+};
+
+/// \brief Picks one of the two growth miners of a pattern language: the
+/// paper's P-TPMiner (the default) or the physical-projection baseline
+/// (TPrefixSpan / CTMiner).
+struct GrowthConfig {
+  /// Copy every node's postfixes before scanning them, and disable every
+  /// pruning whatever the MinerOptions toggles say.
+  bool physical_baseline = false;
 };
 
 /// \brief Counters every miner fills in; the benchmark harness prints them.

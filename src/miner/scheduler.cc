@@ -1,76 +1,45 @@
 #include "miner/scheduler.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/sched_test.h"
 
 namespace tpm {
 
-void MarkSplittableUnits(std::vector<WorkUnit>* units, uint64_t min_spans) {
-  if (units->empty()) return;
+std::vector<bool> MarkSplittableUnits(const std::vector<uint64_t>& weights,
+                                      uint64_t min_spans) {
+  std::vector<bool> split(weights.size(), false);
+  if (weights.empty()) return split;
   uint64_t total = 0;
-  for (const WorkUnit& u : *units) total += u.weight;
-  const uint64_t mean = total / units->size();
+  for (uint64_t w : weights) total += w;
+  const uint64_t mean = total / weights.size();
   // `2 * mean` keeps splitting to genuinely skewed subtrees; the min_spans
   // floor stops tiny databases from splitting everything.
   const uint64_t threshold = std::max<uint64_t>(min_spans, 2 * mean);
-  for (WorkUnit& u : *units) u.splittable = u.weight >= threshold;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    split[i] = weights[i] >= threshold;
+  }
+  return split;
 }
 
-void WorkScheduler::Reset(std::vector<WorkUnit> units) {
+void WorkScheduler::Push(uint32_t depth, const std::vector<void*>& items) {
+  TPM_TEST_YIELD("miner.sched.split");
   MutexLock lock(&mu_);
-  units_ = std::move(units);
-  unit_cursor_ = 0;
-  subs_.clear();
-  dispatched_ = 0;
+  if (queues_.size() <= depth) queues_.resize(depth + 1);
+  std::vector<void*>& q = queues_[depth].items;
+  q.insert(q.end(), items.begin(), items.end());
 }
 
-bool WorkScheduler::TryNext(WorkItem* out, uint32_t deeper_than) {
+void* WorkScheduler::TryNext(uint32_t deeper_than) {
   // Tier E seam: the claim boundary is where worker interleavings diverge
   // (util/sched_test.h). Before the lock, never inside it.
   TPM_TEST_YIELD("miner.sched.next");
   MutexLock lock(&mu_);
-  for (size_t depth = subs_.size(); depth-- > size_t{deeper_than} + 1;) {
-    SubQueue& q = subs_[depth];
-    if (q.cursor < q.items.size()) {
-      *out = q.items[q.cursor++];
-      return true;
-    }
+  for (size_t depth = queues_.size(); depth-- > size_t{deeper_than} + 1;) {
+    Queue& q = queues_[depth];
+    if (q.cursor < q.items.size()) return q.items[q.cursor++];
   }
-  if (deeper_than == 0 && unit_cursor_ < units_.size()) {
-    const WorkUnit& u = units_[unit_cursor_++];
-    out->kind = WorkItem::Kind::kUnit;
-    out->unit_id = u.id;
-    out->sub = nullptr;
-    ++dispatched_;
-    return true;
-  }
-  return false;
-}
-
-void WorkScheduler::PushSubs(uint64_t unit_id, uint32_t depth,
-                             const std::vector<void*>& subs) {
-  TPM_TEST_YIELD("miner.sched.split");
-  MutexLock lock(&mu_);
-  if (subs_.size() <= depth) subs_.resize(depth + 1);
-  for (void* sub : subs) {
-    WorkItem item;
-    item.kind = WorkItem::Kind::kSub;
-    item.unit_id = unit_id;
-    item.sub = sub;
-    subs_[depth].items.push_back(item);
-  }
-}
-
-uint64_t WorkScheduler::units_pending() const {
-  MutexLock lock(&mu_);
-  return units_.size() - unit_cursor_;
-}
-
-uint64_t WorkScheduler::units_dispatched() const {
-  MutexLock lock(&mu_);
-  return dispatched_;
+  return nullptr;
 }
 
 }  // namespace tpm

@@ -38,25 +38,24 @@ ProgressTracker::ProgressTracker(double interval_seconds, Sink sink,
   }
 }
 
-void ProgressTracker::ConfigureWorkers(uint32_t num_workers) {
-  slots_.reset(num_workers > 0 ? new WorkerSlot[num_workers] : nullptr);
-  num_slots_ = num_workers;
+void ProgressTracker::ConfigureSlots(uint32_t num_slots) {
+  slots_.reset(num_slots > 0 ? new Slot[num_slots] : nullptr);
+  num_slots_ = num_slots;
 }
 
 ProgressSnapshot ProgressTracker::Build(double elapsed,
                                         bool final_snapshot) const {
-  // Fold the worker slots over the owner-thread base totals. Relaxed reads:
-  // the slots are monotone progress counters, and a slightly stale value
-  // only shifts one status line, never correctness.
-  uint64_t nodes = nodes_;
-  uint64_t patterns = patterns_;
-  uint64_t bytes = projected_bytes_;
-  uint64_t buckets_done = buckets_done_;
-  for (uint32_t w = 0; w < num_slots_; ++w) {
-    nodes += slots_[w].nodes.load(std::memory_order_relaxed);
-    patterns += slots_[w].patterns.load(std::memory_order_relaxed);
-    bytes += slots_[w].bytes.load(std::memory_order_relaxed);
-    buckets_done += slots_[w].buckets.load(std::memory_order_relaxed);
+  // Relaxed reads: the slots are monotone progress counters, and a
+  // slightly stale value only shifts one status line, never correctness.
+  uint64_t nodes = 0;
+  uint64_t patterns = 0;
+  uint64_t bytes = 0;
+  uint64_t buckets_done = 0;
+  for (uint32_t i = 0; i < num_slots_; ++i) {
+    nodes += slots_[i].nodes.load(std::memory_order_relaxed);
+    patterns += slots_[i].patterns.load(std::memory_order_relaxed);
+    bytes += slots_[i].bytes.load(std::memory_order_relaxed);
+    buckets_done += slots_[i].buckets.load(std::memory_order_relaxed);
   }
   ProgressSnapshot snap;
   snap.elapsed_seconds = elapsed;
@@ -86,7 +85,7 @@ void ProgressTracker::Emit(const ProgressSnapshot& snap) {
   if (sink_) sink_(snap);
 }
 
-void ProgressTracker::MaybeEmit() {
+void ProgressTracker::PollEmit() {
   const double elapsed = timer_.ElapsedSeconds();
   if (elapsed - last_emit_seconds_ < interval_seconds_) return;
   last_emit_seconds_ = elapsed;

@@ -1,32 +1,31 @@
 // Live progress / ETA for long mining runs (`tpm mine --progress`).
 //
-// The growth engines call TickNode() once per expanded node; like
-// ExecutionGuard, the tracker amortizes the clock: it counts down
-// kCheckInterval ticks between steady-clock reads, so the steady-state cost
-// is one predictable branch per node, and only every 32nd node pays a clock
-// read (and, when the emission interval elapsed, a snapshot + sink call).
+// Progress is charged through per-context slots: the owner sizes them once
+// (ConfigureSlots), and each mining context publishes its own cumulative
+// totals into its slot (Tick — three relaxed stores into a cache-line-padded
+// slot, no shared hot counter, no clock read) and counts the level-1
+// buckets it finishes (NoteBucketDone). The owner folds every slot when it
+// emits: PollEmit reads the clock and emits when the interval elapsed, and
+// Finish always emits the final snapshot. The growth engine's calling
+// thread owns the tracker and polls it between work items and while it
+// waits; before Finish it publishes every context's exact totals once more,
+// so the final snapshot reports the run's exact node, pattern and bucket
+// counts.
 //
 // ETA comes from the level-1 bucket walk: the engine announces how many
-// admitted root buckets exist (SetTotalBuckets) and marks each one done
-// (NoteBucketDone), so `elapsed / done * (total - done)` projects the
-// remaining wall time from completed subtrees — coarse, but honest about the
-// only unit of work whose total is known up front. Before the first bucket
-// completes the ETA is unknown (-1).
+// root buckets exist (SetTotalBuckets) and marks each one done, so
+// `elapsed / done * (total - done)` projects the remaining wall time from
+// completed subtrees — coarse, but honest about the only unit of work whose
+// total is known up front. Before the first bucket completes the ETA is
+// unknown (-1).
 //
 // Every emission samples the Linux VmHWM peak-RSS gauge (0 on other
 // platforms, see util/memory.h), so a truncated run's recorded peak is the
 // peak *at truncation time*, not just at exit. Emissions are charged to the
 // owning StatsDomain (progress.snapshots counter, process.peak_rss_bytes
-// gauge) when one is attached.
-//
-// Single-thread runs drive TickNode/NoteBucketDone directly. The parallel
-// miner instead calls ConfigureWorkers(N) once, has each worker write its
-// own totals through TickWorker/NoteWorkerBucketDone (a relaxed store into
-// that worker's cache-line-padded slot — no shared hot counter, no
-// contention), and the merger thread folds every slot at emission time via
-// PollEmit/Finish. Emission (the sink, the domain charges) stays
-// single-owner: only the owning/merger thread may call SetTotalBuckets,
-// NoteBucketDone, TickNode, PollEmit, or Finish.
+// gauge) when one is attached. Emission stays single-owner: only the owning
+// thread may call ConfigureSlots, SetTotalBuckets, PollEmit, or Finish;
+// Tick and NoteBucketDone are safe from any thread on its own slot.
 
 #pragma once
 
@@ -67,13 +66,10 @@ struct ProgressSnapshot {
 
 class ProgressTracker {
  public:
-  /// Ticks between clock reads — same amortization as ExecutionGuard.
-  static constexpr uint32_t kCheckInterval = 32;
-
   using Sink = std::function<void(const ProgressSnapshot&)>;
 
   /// Emits to `sink` at most every `interval_seconds` (0 emits on every
-  /// clock read). `domain`, when non-null, is charged per emission and must
+  /// poll). `domain`, when non-null, is charged per emission and must
   /// outlive the tracker.
   ProgressTracker(double interval_seconds, Sink sink,
                   StatsDomain* domain = nullptr);
@@ -81,63 +77,46 @@ class ProgressTracker {
   ProgressTracker(const ProgressTracker&) = delete;
   ProgressTracker& operator=(const ProgressTracker&) = delete;
 
+  /// Allocates `num_slots` padded slots, one per mining context. Call once,
+  /// before any context ticks; owner thread only.
+  void ConfigureSlots(uint32_t num_slots);
+
   void SetTotalBuckets(uint64_t total) { buckets_total_ = total; }
-  void NoteBucketDone() { ++buckets_done_; }
 
-  /// Hot-path hook: records the run's current totals and, every
-  /// kCheckInterval calls, checks the clock and possibly emits.
-  void TickNode(uint64_t nodes, uint64_t patterns, uint64_t projected_bytes) {
-    nodes_ = nodes;
-    patterns_ = patterns;
-    projected_bytes_ = projected_bytes;
-    if (countdown_-- == 0) {
-      countdown_ = kCheckInterval - 1;
-      MaybeEmit();
-    }
+  /// Hot-path hook: publishes one context's own cumulative totals. Relaxed
+  /// stores into the context's private slot — safe to call concurrently
+  /// with every other slot's ticks and with the owner's PollEmit.
+  void Tick(uint32_t slot, uint64_t nodes, uint64_t patterns,
+            uint64_t projected_bytes) {
+    Slot& s = slots_[slot];
+    s.nodes.store(nodes, std::memory_order_relaxed);
+    s.patterns.store(patterns, std::memory_order_relaxed);
+    s.bytes.store(projected_bytes, std::memory_order_relaxed);
   }
 
-  // --- Multi-worker charging (parallel growth engine) -------------------
-
-  /// Allocates `num_workers` padded slots. Call once, before any worker
-  /// thread starts ticking; callable by the owner thread only.
-  void ConfigureWorkers(uint32_t num_workers);
-
-  /// Worker-side hot hook: publishes worker `w`'s own cumulative totals.
-  /// Relaxed stores into the worker's private slot — safe to call
-  /// concurrently with every other worker and with the merger's PollEmit.
-  void TickWorker(uint32_t w, uint64_t nodes, uint64_t patterns,
-                  uint64_t projected_bytes) {
-    WorkerSlot& slot = slots_[w];
-    slot.nodes.store(nodes, std::memory_order_relaxed);
-    slot.patterns.store(patterns, std::memory_order_relaxed);
-    slot.bytes.store(projected_bytes, std::memory_order_relaxed);
+  /// One more level-1 bucket finished on the context owning `slot`.
+  void NoteBucketDone(uint32_t slot) {
+    slots_[slot].buckets.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Worker-side: one more depth-0 bucket finished on worker `w`.
-  void NoteWorkerBucketDone(uint32_t w) {
-    slots_[w].buckets.fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Folds every slot into the run totals and emits if the interval
+  /// elapsed. Owner thread only.
+  void PollEmit();
 
-  /// Merger-side: folds every worker slot into the run totals and emits if
-  /// the interval elapsed. Owner thread only.
-  void PollEmit() { MaybeEmit(); }
-
-  /// Emits the final snapshot (always, regardless of interval), folding any
-  /// worker slots first.
+  /// Emits the final snapshot (always, regardless of interval).
   void Finish();
 
   uint64_t snapshots_emitted() const { return emitted_; }
 
  private:
-  // One cache line per worker so hot ticks never false-share.
-  struct alignas(64) WorkerSlot {
+  // One cache line per slot so hot ticks never false-share.
+  struct alignas(64) Slot {
     std::atomic<uint64_t> nodes{0};
     std::atomic<uint64_t> patterns{0};
     std::atomic<uint64_t> bytes{0};
     std::atomic<uint64_t> buckets{0};
   };
 
-  void MaybeEmit();
   ProgressSnapshot Build(double elapsed, bool final_snapshot) const;
   void Emit(const ProgressSnapshot& snap);
 
@@ -149,15 +128,9 @@ class ProgressTracker {
   WallTimer timer_;
   double last_emit_seconds_ = 0.0;
   uint64_t emitted_ = 0;
-  uint32_t countdown_ = 0;  // first tick always reaches MaybeEmit
-
-  uint64_t buckets_done_ = 0;
   uint64_t buckets_total_ = 0;
-  uint64_t nodes_ = 0;
-  uint64_t patterns_ = 0;
-  uint64_t projected_bytes_ = 0;
 
-  std::unique_ptr<WorkerSlot[]> slots_;
+  std::unique_ptr<Slot[]> slots_;
   uint32_t num_slots_ = 0;
 };
 

@@ -19,10 +19,14 @@
 // byte-identical for any completion / registration order of the input
 // domains (see the function comment for the exact fold rules).
 //
+// The parallel growth engine runs inside one domain; its per-unit metrics
+// and per-worker attribution are plain MetricsRegistry snapshots, folded
+// with the run's own as DomainSnapshots under the same contract.
+//
 // Thread-compatibility: the registry inside a domain is as thread-safe as
-// the global one, so several threads MAY charge one domain; the intended
-// design is one domain per worker. The FlightRecorder and TakeSnapshot are
-// single-owner, like the miner that drives them.
+// the global one, so several threads MAY charge one domain. The
+// FlightRecorder and TakeSnapshot are single-owner, like the miner that
+// drives them.
 
 #pragma once
 
@@ -49,9 +53,7 @@ class StatsDomain {
   /// "worker-0", a request id). Ids should be unique among domains merged
   /// together; duplicates still merge deterministically (the fold rules are
   /// commutative) but become indistinguishable in postmortems.
-  explicit StatsDomain(std::string id,
-                       size_t flight_capacity = FlightRecorder::kDefaultCapacity)
-      : id_(std::move(id)), recorder_(flight_capacity) {}
+  explicit StatsDomain(std::string id) : id_(std::move(id)) {}
 
   StatsDomain(const StatsDomain&) = delete;
   StatsDomain& operator=(const StatsDomain&) = delete;

@@ -48,7 +48,7 @@ TEST(MemoryAccountingTest, EndpointPseudoPeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(7);
   MinerOptions options;
   options.min_support = 0.15;
-  auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+  auto result = MineEndpointGrowth(db, options, GrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(result->patterns.size(), 0u);
   EXPECT_GT(result->stats.arena_peak_bytes, 0u);
@@ -61,7 +61,7 @@ TEST(MemoryAccountingTest, CoincidencePseudoPeakIsExactlyBuildPlusArena) {
   const IntervalDatabase db = MakeDb(11);
   MinerOptions options;
   options.min_support = 0.15;
-  auto result = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+  auto result = MineCoincidenceGrowth(db, options, GrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(result->patterns.size(), 0u);
   EXPECT_EQ(result->stats.peak_tracked_bytes,
@@ -75,7 +75,7 @@ TEST(MemoryAccountingTest, ZeroPatternRunPinsPureIdentity) {
   const IntervalDatabase db = MakeDb(13);
   MinerOptions options;
   options.min_support = static_cast<double>(db.size() + 1);  // unreachable
-  auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+  auto result = MineEndpointGrowth(db, options, GrowthConfig{});
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->patterns.size(), 0u);
   EXPECT_EQ(result->stats.peak_tracked_bytes,
@@ -102,17 +102,12 @@ TEST(MemoryAccountingTest, BaselinesExportTheirArenaPeak) {
   const IntervalDatabase db = MakeDb(7);
   MinerOptions options;
   options.min_support = 0.15;
-  EndpointGrowthConfig tprefixspan;
-  tprefixspan.physical_projection = true;
-  tprefixspan.force_disable_prunings = true;
-  auto ep = MineEndpointGrowth(db, options, tprefixspan);
+  const GrowthConfig baseline{.physical_baseline = true};
+  auto ep = MineEndpointGrowth(db, options, baseline);
   ASSERT_TRUE(ep.ok()) << ep.status();
   ExpectBaselineAccounting(*ep);
 
-  CoincidenceGrowthConfig ctminer;
-  ctminer.physical_projection = true;
-  ctminer.force_disable_prunings = true;
-  auto co = MineCoincidenceGrowth(db, options, ctminer);
+  auto co = MineCoincidenceGrowth(db, options, baseline);
   ASSERT_TRUE(co.ok()) << co.status();
   ExpectBaselineAccounting(*co);
 }

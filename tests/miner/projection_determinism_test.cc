@@ -64,17 +64,12 @@ INSTANTIATE_TEST_SUITE_P(QuestSeeds, ProjectionDeterminismTest,
 // baselines: every pruning mask, with no window and with max_window = 40.
 TEST_P(ProjectionDeterminismTest, PseudoMinersMatchPhysicalBaselines) {
   const IntervalDatabase db = MakeDb(GetParam());
-  EndpointGrowthConfig tprefixspan;
-  tprefixspan.physical_projection = true;
-  tprefixspan.force_disable_prunings = true;
-  CoincidenceGrowthConfig ctminer;
-  ctminer.physical_projection = true;
-  ctminer.force_disable_prunings = true;
+  const GrowthConfig baseline{.physical_baseline = true};
   for (TimeT window : {TimeT{0}, TimeT{40}}) {
     MinerOptions base = BaseOptions(0);
     base.max_window = window;
-    auto ep_base = MineEndpointGrowth(db, base, tprefixspan);
-    auto co_base = MineCoincidenceGrowth(db, base, ctminer);
+    auto ep_base = MineEndpointGrowth(db, base, baseline);
+    auto co_base = MineCoincidenceGrowth(db, base, baseline);
     ASSERT_TRUE(ep_base.ok()) << ep_base.status();
     ASSERT_TRUE(co_base.ok()) << co_base.status();
     ep_base->SortCanonically();
@@ -86,14 +81,14 @@ TEST_P(ProjectionDeterminismTest, PseudoMinersMatchPhysicalBaselines) {
     for (uint32_t mask = 0; mask < 8; ++mask) {
       MinerOptions options = BaseOptions(mask);
       options.max_window = window;
-      auto ep = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+      auto ep = MineEndpointGrowth(db, options, GrowthConfig{});
       ASSERT_TRUE(ep.ok()) << ep.status();
       ep->SortCanonically();
       EXPECT_EQ(Render(*ep, db.dict()), ep_want)
           << "P-TPMiner/E vs TPrefixSpan, mask " << mask << " window "
           << window;
       if (mask >= 4) continue;
-      auto co = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+      auto co = MineCoincidenceGrowth(db, options, GrowthConfig{});
       ASSERT_TRUE(co.ok()) << co.status();
       co->SortCanonically();
       EXPECT_EQ(Render(*co, db.dict()), co_want)
@@ -113,7 +108,7 @@ TEST_P(ProjectionDeterminismTest, MergedMetricsSnapshotsAreOrderInvariant) {
     MinerOptions options = BaseOptions(mask);
     obs::StatsDomain domain("mask-" + std::to_string(mask));
     options.stats_domain = &domain;
-    auto result = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    auto result = MineEndpointGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(result.ok()) << result.status();
     snaps.push_back(domain.TakeSnapshot());
   }
@@ -149,7 +144,7 @@ TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
     MinerOptions options = BaseOptions(mask);
     obs::StatsDomain base_domain("t1");
     options.stats_domain = &base_domain;
-    auto single = MineEndpointGrowth(db, options, EndpointGrowthConfig{});
+    auto single = MineEndpointGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(single.ok()) << single.status();
     const std::string want = EmissionOrderRender(*single, db.dict());
     const std::string want_metrics =
@@ -161,7 +156,7 @@ TEST_P(ProjectionDeterminismTest, EndpointThreadCountsAgree) {
       domain_name += std::to_string(threads);
       obs::StatsDomain domain(domain_name);
       par.stats_domain = &domain;
-      auto result = MineEndpointGrowth(db, par, EndpointGrowthConfig{});
+      auto result = MineEndpointGrowth(db, par, GrowthConfig{});
       ASSERT_TRUE(result.ok()) << result.status();
       EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
           << "mask " << mask << " threads " << threads;
@@ -179,7 +174,7 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
     MinerOptions options = BaseOptions(mask);
     obs::StatsDomain base_domain("t1");
     options.stats_domain = &base_domain;
-    auto single = MineCoincidenceGrowth(db, options, CoincidenceGrowthConfig{});
+    auto single = MineCoincidenceGrowth(db, options, GrowthConfig{});
     ASSERT_TRUE(single.ok()) << single.status();
     const std::string want = EmissionOrderRender(*single, db.dict());
     const std::string want_metrics =
@@ -191,7 +186,7 @@ TEST_P(ProjectionDeterminismTest, CoincidenceThreadCountsAgree) {
       domain_name += std::to_string(threads);
       obs::StatsDomain domain(domain_name);
       par.stats_domain = &domain;
-      auto result = MineCoincidenceGrowth(db, par, CoincidenceGrowthConfig{});
+      auto result = MineCoincidenceGrowth(db, par, GrowthConfig{});
       ASSERT_TRUE(result.ok()) << result.status();
       EXPECT_EQ(EmissionOrderRender(*result, db.dict()), want)
           << "mask " << mask << " threads " << threads;
